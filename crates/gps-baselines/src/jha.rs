@@ -18,7 +18,6 @@
 
 use crate::common::{EdgeSampleStore, TriangleEstimator};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,27 +52,15 @@ pub struct JhaWedgeSampler {
 
 impl JhaWedgeSampler {
     /// Creates a sampler with `edge_capacity` reservoir edges and
-    /// `wedge_capacity` wedge slots, on the default compact adjacency
-    /// backend.
+    /// `wedge_capacity` wedge slots. The new wedges formed by an admitted
+    /// edge are canonically sorted before the uniform slot draw, so the
+    /// draw does not depend on the adjacency's neighbor order.
     pub fn new(edge_capacity: usize, wedge_capacity: usize, seed: u64) -> Self {
-        Self::with_backend(edge_capacity, wedge_capacity, seed, BackendKind::Compact)
-    }
-
-    /// [`JhaWedgeSampler::new`] on an explicit adjacency backend. The new
-    /// wedges formed by an admitted edge are canonically sorted before the
-    /// uniform slot draw, so same-seed runs are bit-identical on either
-    /// backend despite their differing neighbor-iteration orders.
-    pub fn with_backend(
-        edge_capacity: usize,
-        wedge_capacity: usize,
-        seed: u64,
-        backend: BackendKind,
-    ) -> Self {
         assert!(edge_capacity >= 2, "need at least two reservoir edges");
         assert!(wedge_capacity >= 1, "need at least one wedge slot");
         JhaWedgeSampler {
             edge_capacity,
-            store: EdgeSampleStore::with_backend(backend),
+            store: EdgeSampleStore::new(),
             wedges: vec![None; wedge_capacity],
             tot_wedges: 0,
             t: 0,
@@ -117,18 +104,20 @@ impl JhaWedgeSampler {
         // Wedges the new edge forms with the current reservoir.
         self.new_wedges.clear();
         let (u, v) = (edge.u(), edge.v());
-        self.store.adjacency().for_each_neighbor(u, |nbr, ()| {
+        let adj = self.store.adjacency();
+        for &(nbr, ()) in adj.neighbor_slice(u) {
             if nbr != v {
                 self.new_wedges.push(Edge::new(u, nbr));
             }
-        });
-        self.store.adjacency().for_each_neighbor(v, |nbr, ()| {
+        }
+        for &(nbr, ()) in adj.neighbor_slice(v) {
             if nbr != u {
                 self.new_wedges.push(Edge::new(v, nbr));
             }
-        });
-        // Canonical order: the uniform index draw below must select the
-        // same wedge whatever neighbor-iteration order the backend has.
+        }
+        // Canonical order: the uniform index draw below selects a wedge
+        // independently of neighbor-list layout (inline lists are in
+        // arrival order, spilled ones id-sorted).
         self.new_wedges.sort_unstable();
         self.store.insert(edge);
         self.tot_wedges += self.new_wedges.len() as u64;

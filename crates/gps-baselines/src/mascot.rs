@@ -14,7 +14,6 @@
 
 use crate::common::{EdgeSampleStore, TriangleEstimator};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,28 +26,18 @@ pub struct Mascot {
 }
 
 impl Mascot {
-    /// Creates a MASCOT estimator sampling edges with probability `p`, on
-    /// the default compact adjacency backend.
+    /// Creates a MASCOT estimator sampling edges with probability `p`.
     ///
     /// # Panics
     /// Panics unless `0 < p <= 1`.
     pub fn new(p: f64, seed: u64) -> Self {
-        Self::with_backend(p, seed, BackendKind::Compact)
-    }
-
-    /// [`Mascot::new`] on an explicit adjacency backend (same-seed runs are
-    /// bit-identical on either backend).
-    ///
-    /// # Panics
-    /// Panics unless `0 < p <= 1`.
-    pub fn with_backend(p: f64, seed: u64, backend: BackendKind) -> Self {
         assert!(
             p > 0.0 && p <= 1.0,
             "sampling probability must be in (0, 1]"
         );
         Mascot {
             p,
-            store: EdgeSampleStore::with_backend(backend),
+            store: EdgeSampleStore::new(),
             estimate: 0.0,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -96,27 +85,18 @@ pub struct MascotC {
 }
 
 impl MascotC {
-    /// Creates a MASCOT-C estimator sampling edges with probability `p`, on
-    /// the default compact adjacency backend.
+    /// Creates a MASCOT-C estimator sampling edges with probability `p`.
     ///
     /// # Panics
     /// Panics unless `0 < p <= 1`.
     pub fn new(p: f64, seed: u64) -> Self {
-        Self::with_backend(p, seed, BackendKind::Compact)
-    }
-
-    /// [`MascotC::new`] on an explicit adjacency backend.
-    ///
-    /// # Panics
-    /// Panics unless `0 < p <= 1`.
-    pub fn with_backend(p: f64, seed: u64, backend: BackendKind) -> Self {
         assert!(
             p > 0.0 && p <= 1.0,
             "sampling probability must be in (0, 1]"
         );
         MascotC {
             p,
-            store: EdgeSampleStore::with_backend(backend),
+            store: EdgeSampleStore::new(),
             estimate: 0.0,
             rng: SmallRng::seed_from_u64(seed),
         }

@@ -4,7 +4,6 @@
 
 use crate::common::{EdgeSampleStore, TriangleEstimator};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,20 +37,12 @@ pub struct TriestBase {
 
 impl TriestBase {
     /// Creates a TRIEST-BASE estimator with reservoir capacity `capacity`
-    /// (must be ≥ 3 so the scaling factor is defined), on the default
-    /// compact adjacency backend.
+    /// (must be ≥ 3 so the scaling factor is defined).
     pub fn new(capacity: usize, seed: u64) -> Self {
-        Self::with_backend(capacity, seed, BackendKind::Compact)
-    }
-
-    /// [`TriestBase::new`] on an explicit adjacency backend. Same-seed runs
-    /// produce bit-identical estimates on either backend: the estimator
-    /// only queries order-oblivious topology counts.
-    pub fn with_backend(capacity: usize, seed: u64, backend: BackendKind) -> Self {
         assert!(capacity >= 3, "TRIEST needs capacity ≥ 3");
         TriestBase {
             capacity,
-            store: EdgeSampleStore::with_backend(backend),
+            store: EdgeSampleStore::new(),
             sample_triangles: 0.0,
             t: 0,
             rng: SmallRng::seed_from_u64(seed),
@@ -114,19 +105,12 @@ pub struct TriestImpr {
 }
 
 impl TriestImpr {
-    /// Creates a TRIEST-IMPR estimator with reservoir capacity `capacity`,
-    /// on the default compact adjacency backend.
+    /// Creates a TRIEST-IMPR estimator with reservoir capacity `capacity`.
     pub fn new(capacity: usize, seed: u64) -> Self {
-        Self::with_backend(capacity, seed, BackendKind::Compact)
-    }
-
-    /// [`TriestImpr::new`] on an explicit adjacency backend (same-seed
-    /// backend-independence as [`TriestBase::with_backend`]).
-    pub fn with_backend(capacity: usize, seed: u64, backend: BackendKind) -> Self {
         assert!(capacity >= 2, "TRIEST-IMPR needs capacity ≥ 2");
         TriestImpr {
             capacity,
-            store: EdgeSampleStore::with_backend(backend),
+            store: EdgeSampleStore::new(),
             counter: 0.0,
             t: 0,
             rng: SmallRng::seed_from_u64(seed),

@@ -9,7 +9,6 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use gps_core::weights::{TriadWeight, TriangleWeight, UniformWeight};
 use gps_core::GpsSampler;
-use gps_graph::BackendKind;
 use gps_stream::{gen, permuted};
 
 fn bench_updates(c: &mut Criterion) {
@@ -58,31 +57,6 @@ fn bench_updates(c: &mut Criterion) {
         )
     });
 
-    group.finish();
-
-    // Adjacency backend comparison on the triangle-weight hot path: the
-    // compact interned backend vs the pre-refactor nested hash map (kept as
-    // the perf baseline; `bench_baseline` persists the same comparison).
-    let mut group = c.benchmark_group("gps_update_backend");
-    group.throughput(Throughput::Elements(edges.len() as u64));
-    group.sample_size(10);
-    for (label, backend) in [
-        ("compact", BackendKind::Compact),
-        ("hashmap", BackendKind::HashMap),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter_batched(
-                || GpsSampler::with_backend(m, TriangleWeight::default(), 42, backend),
-                |mut s| {
-                    for &e in &edges {
-                        s.process(e);
-                    }
-                    s.len()
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
     group.finish();
 
     // Capacity sensitivity: heap depth is O(log m); adjacency lookups grow

@@ -6,7 +6,6 @@ use gps_core::weights::TriangleWeight;
 use gps_core::{post_stream, GpsSampler, InStreamEstimator, TriadEstimates};
 use gps_engine::{shard_seed, EdgePartitioner, ShardedGps};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 
 /// GPS with post-stream estimation (paper "GPS POST"): samples with the
 /// triangle-optimized weights and answers queries from the reservoir.
@@ -17,14 +16,8 @@ pub struct GpsPost {
 impl GpsPost {
     /// Creates the adapter with reservoir capacity `m`.
     pub fn new(m: usize, seed: u64) -> Self {
-        Self::with_backend(m, seed, BackendKind::Compact)
-    }
-
-    /// [`GpsPost::new`] on an explicit adjacency backend (the experiment
-    /// harness threads `Config::backend` through here).
-    pub fn with_backend(m: usize, seed: u64, backend: BackendKind) -> Self {
         GpsPost {
-            sampler: GpsSampler::with_backend(m, TriangleWeight::default(), seed, backend),
+            sampler: GpsSampler::new(m, TriangleWeight::default(), seed),
         }
     }
 
@@ -60,13 +53,8 @@ pub struct GpsInStream {
 impl GpsInStream {
     /// Creates the adapter with reservoir capacity `m`.
     pub fn new(m: usize, seed: u64) -> Self {
-        Self::with_backend(m, seed, BackendKind::Compact)
-    }
-
-    /// [`GpsInStream::new`] on an explicit adjacency backend.
-    pub fn with_backend(m: usize, seed: u64, backend: BackendKind) -> Self {
         GpsInStream {
-            est: InStreamEstimator::with_backend(m, TriangleWeight::default(), seed, backend),
+            est: InStreamEstimator::new(m, TriangleWeight::default(), seed),
         }
     }
 
@@ -109,22 +97,16 @@ pub struct ShardedInStream {
 
 impl ShardedInStream {
     /// Mirror of `ShardedGps::new(m, TriangleWeight, seed, shards)` with
-    /// in-stream estimation, on the compact backend.
+    /// in-stream estimation.
     pub fn new(m: usize, seed: u64, shards: usize) -> Self {
-        Self::with_backend(m, seed, shards, BackendKind::Compact)
-    }
-
-    /// [`ShardedInStream::new`] on an explicit adjacency backend.
-    pub fn with_backend(m: usize, seed: u64, shards: usize, backend: BackendKind) -> Self {
         assert!(shards > 0 && m >= shards, "every shard needs a budget");
         ShardedInStream {
             parts: (0..shards)
                 .map(|i| {
-                    InStreamEstimator::with_backend(
+                    InStreamEstimator::new(
                         ShardedGps::<TriangleWeight>::shard_capacity(m, shards, i),
                         TriangleWeight::default(),
                         shard_seed(seed, i),
-                        backend,
                     )
                 })
                 .collect(),

@@ -1,8 +1,7 @@
 //! `bench_baseline` — the repo's reproducible `GPSUpdate` perf harness.
 //!
 //! Runs the update-throughput scenario grid (weights × streams × reservoir
-//! sizes) on **both** adjacency backends and writes a machine-readable
-//! baseline (`BENCH_PR2.json` by default) so every future perf PR has a
+//! sizes) and writes a machine-readable baseline (`BENCH_PR2.json` by default) so every future perf PR has a
 //! trajectory to beat.
 //!
 //! ```text
@@ -14,8 +13,7 @@
 //! - `--quick`: reduced streams and capacities (CI smoke scale).
 //! - `--out PATH`: where to write the baseline (default `BENCH_PR2.json`).
 //! - `--baselines`: additionally measure the ported `gps-baselines`
-//!   samplers on both adjacency backends and include the grid in the
-//!   output document (`baseline_samplers` section; see docs/benchmarks.md).
+//!   samplers and include the grid in the output document (`baseline_samplers` section; see docs/benchmarks.md).
 //! - `--engine`: additionally measure the `gps-engine` sharded ingest at
 //!   S ∈ {1, 2, 4, 8} shards and include the scaling grid in the output
 //!   document (`engine` section; schema stays v1-compatible).
@@ -45,14 +43,14 @@
 //!   validates its shape).
 //! - `--check PATH`: *instead of* writing, validate the committed baseline
 //!   at `PATH` (schema + required fields) and fail — exit code 1 — if the
-//!   current compact-backend throughput falls below `min-ratio` × the
+//!   current sampler throughput falls below `min-ratio` × the
 //!   committed number for any shared scenario (default ratio 0.5, i.e. a
 //!   >2× regression trips it).
 
 use gps_bench::json::{self, Value};
 use gps_bench::perf::{
-    self, BaselineResult, ChaosResult, EngineResult, PerfConfig, ScenarioResult, ServeResult,
-    TelemetryResult, TraceResult,
+    self, BaselineResult, ChaosResult, EngineResult, Measurement, PerfConfig, ScenarioResult,
+    ServeResult, TelemetryResult, TraceResult,
 };
 use std::process::{Command, ExitCode};
 
@@ -139,15 +137,16 @@ fn git_rev() -> String {
 }
 
 fn print_result(r: &ScenarioResult) {
+    print_sampler(&r.scenario.name(), r.edges, &r.compact);
+}
+
+fn print_sampler(name: &str, edges: usize, m: &Measurement) {
     println!(
-        "{:<28} {:>9} edges  compact {:>8.1} ns/e ({:>7.3} Me/s)  hashmap {:>8.1} ns/e ({:>7.3} Me/s)  speedup {:>5.2}x",
-        r.scenario.name(),
-        r.edges,
-        r.compact.ns_per_edge,
-        r.compact.edges_per_sec / 1e6,
-        r.hashmap.ns_per_edge,
-        r.hashmap.edges_per_sec / 1e6,
-        r.speedup(),
+        "{:<28} {:>9} edges  sampler {:>8.1} ns/e ({:>7.3} Me/s)",
+        name,
+        edges,
+        m.ns_per_edge,
+        m.edges_per_sec / 1e6,
     );
 }
 
@@ -180,12 +179,11 @@ fn print_serve(r: &ServeResult) {
 
 fn print_chaos(r: &ChaosResult) {
     println!(
-        "{:<34} {:>9} edges  faulted {:>8.1} ns/e ({:>7.3} Me/s)  recovery {:>7.2} ms  [lost {}, {} restart{}, degraded {}/{} epochs]",
+        "{:<34} {:>9} edges  clean {:>8.1} ns/e  faulted {:>8.1} ns/e  [lost {}, {} restart{}, degraded {}/{} epochs]",
         r.scenario,
         r.edges,
+        r.clean.ns_per_edge,
         r.faulted.ns_per_edge,
-        r.faulted.edges_per_sec / 1e6,
-        r.recovery_latency_ns as f64 / 1e6,
         r.arrivals_lost,
         r.restarts,
         if r.restarts == 1 { "" } else { "s" },
@@ -235,19 +233,10 @@ fn print_trace(t: &TraceResult) {
 }
 
 fn print_baseline(r: &BaselineResult) {
-    println!(
-        "{:<28} {:>9} edges  compact {:>8.1} ns/e ({:>7.3} Me/s)  hashmap {:>8.1} ns/e ({:>7.3} Me/s)  speedup {:>5.2}x",
-        r.scenario,
-        r.edges,
-        r.compact.ns_per_edge,
-        r.compact.edges_per_sec / 1e6,
-        r.hashmap.ns_per_edge,
-        r.hashmap.edges_per_sec / 1e6,
-        r.speedup(),
-    );
+    print_sampler(&r.scenario, r.edges, &r.compact);
 }
 
-/// Compares freshly measured compact throughput against a committed
+/// Compares freshly measured sampler throughput against a committed
 /// baseline; returns the list of failures. At least one measured scenario
 /// must match a committed one — otherwise the gate would pass vacuously
 /// after a grid or naming change.

@@ -1,24 +1,17 @@
 //! Harness configuration from CLI flags / environment variables.
 
-use gps_graph::BackendKind;
 use std::path::PathBuf;
 
 /// Shared experiment configuration.
 ///
 /// Flags (all optional): `--scale <f64>`, `--seed <u64>`, `--out <dir>`,
-/// `--threads <n>`, `--backend compact|hashmap`, `--shards <n>`.
+/// `--threads <n>`, `--shards <n>`.
 /// Environment fallbacks: `GPS_SCALE`, `GPS_SEED`, `GPS_OUT`,
-/// `GPS_THREADS`, `GPS_BACKEND`, `GPS_SHARDS`.
+/// `GPS_THREADS`, `GPS_SHARDS`.
 ///
 /// `scale` multiplies every workload's size knobs; 1.0 builds graphs of
 /// roughly 2–3 × 10⁵ edges each (laptop-friendly stand-ins for the paper's
 /// 10⁶–10⁸-edge datasets; see DESIGN.md §5).
-///
-/// `backend` selects the adjacency substrate that *every* estimator in an
-/// experiment runs on — GPS and the ported baselines alike — so accuracy
-/// tables can be re-run on the nested-hash oracle to confirm the numbers
-/// are backend-independent (they are, bit-for-bit; the flag exists to make
-/// that claim checkable and to time the substrate difference).
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Workload scale multiplier.
@@ -29,8 +22,6 @@ pub struct Config {
     pub out_dir: Option<PathBuf>,
     /// Worker threads for parallel estimation.
     pub threads: usize,
-    /// Adjacency backend every sampler in the experiment runs on.
-    pub backend: BackendKind,
     /// Shard count for `gps-engine` workloads (the `scaling` bench and the
     /// sharded-ingest example read this as the top of their shard axis).
     pub shards: usize,
@@ -43,18 +34,8 @@ impl Default for Config {
             seed: 42,
             out_dir: Some(PathBuf::from("results")),
             threads: 4,
-            backend: BackendKind::Compact,
             shards: 4,
         }
-    }
-}
-
-/// Parses a backend name as accepted by `--backend` / `GPS_BACKEND`.
-pub fn parse_backend(name: &str) -> Option<BackendKind> {
-    match name {
-        "compact" => Some(BackendKind::Compact),
-        "hashmap" | "hash-map" | "map" => Some(BackendKind::HashMap),
-        _ => None,
     }
 }
 
@@ -78,11 +59,6 @@ impl Config {
         if let Ok(v) = std::env::var("GPS_THREADS") {
             if let Ok(x) = v.parse() {
                 cfg.threads = x;
-            }
-        }
-        if let Ok(v) = std::env::var("GPS_BACKEND") {
-            if let Some(kind) = parse_backend(&v) {
-                cfg.backend = kind;
             }
         }
         if let Ok(v) = std::env::var("GPS_SHARDS") {
@@ -120,12 +96,6 @@ impl Config {
                 "--threads" => {
                     if let Ok(x) = args[i + 1].parse() {
                         self.threads = x;
-                    }
-                    i += 2;
-                }
-                "--backend" => {
-                    if let Some(kind) = parse_backend(&args[i + 1]) {
-                        self.backend = kind;
                     }
                     i += 2;
                 }
@@ -182,8 +152,6 @@ mod tests {
             "2",
             "--out",
             "/tmp/x",
-            "--backend",
-            "hashmap",
             "--shards",
             "8",
         ]
@@ -195,17 +163,7 @@ mod tests {
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.out_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
-        assert_eq!(cfg.backend, BackendKind::HashMap);
         assert_eq!(cfg.shards, 8);
-    }
-
-    #[test]
-    fn backend_names_parse() {
-        assert_eq!(parse_backend("compact"), Some(BackendKind::Compact));
-        assert_eq!(parse_backend("hashmap"), Some(BackendKind::HashMap));
-        assert_eq!(parse_backend("hash-map"), Some(BackendKind::HashMap));
-        assert_eq!(parse_backend("bogus"), None);
-        assert_eq!(Config::default().backend, BackendKind::Compact);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use gps_baselines::{Mascot, NSampBulk, TriangleEstimator, TriestBase, TriestImpr
 use gps_core::weights::{TriadWeight, TriangleWeight, UniformWeight, WedgeWeight};
 use gps_core::{post_stream, EdgeWeight, InStreamEstimator, TriadEstimates};
 use gps_graph::types::Edge;
-use gps_graph::{BackendKind, IncrementalCounter};
+use gps_graph::IncrementalCounter;
 use gps_stats::{format, metrics, ErrorSeries, Running, Table};
 use gps_stream::corpus::{self, WorkloadSpec};
 use gps_stream::{permuted, Checkpoints};
@@ -51,16 +51,9 @@ fn build(spec: &WorkloadSpec, cfg: &Config) -> Vec<Edge> {
 
 /// One full GPS pass over a stream: in-stream estimates plus post-stream
 /// estimates from the *same* sample (the paper's paired comparison).
-fn run_gps_pair(
-    edges: &[Edge],
-    m: usize,
-    stream_seed: u64,
-    sampler_seed: u64,
-    backend: BackendKind,
-) -> GpsPair {
+fn run_gps_pair(edges: &[Edge], m: usize, stream_seed: u64, sampler_seed: u64) -> GpsPair {
     let stream = permuted(edges, stream_seed);
-    let mut in_est =
-        InStreamEstimator::with_backend(m, TriangleWeight::default(), sampler_seed, backend);
+    let mut in_est = InStreamEstimator::new(m, TriangleWeight::default(), sampler_seed);
     in_est.process_stream(stream);
     let post = post_stream::estimate(in_est.sampler());
     GpsPair {
@@ -78,12 +71,10 @@ fn run_engine_pair(
     m: usize,
     stream_seed: u64,
     engine_seed: u64,
-    backend: BackendKind,
     shards: usize,
 ) -> GpsPair {
     let stream = permuted(edges, stream_seed);
-    let mut cfg = EngineConfig::new(m, shards, engine_seed);
-    cfg.backend = backend;
+    let cfg = EngineConfig::new(m, shards, engine_seed);
     let mut engine = ShardedGps::with_estimation(cfg, TriangleWeight::default(), None);
     engine.push_stream(stream);
     GpsPair {
@@ -192,7 +183,6 @@ pub fn table1(cfg: &Config, runs: u64) -> Table {
                 m,
                 cfg.sub_seed(&format!("t1-stream-{}-{r}", spec.name)),
                 cfg.sub_seed(&format!("t1-sampler-{}-{r}", spec.name)),
-                cfg.backend,
             )
         });
         if cfg.shards > 1 {
@@ -203,7 +193,6 @@ pub fn table1(cfg: &Config, runs: u64) -> Table {
                     m,
                     cfg.sub_seed(&format!("t1-stream-{}-{r}", spec.name)),
                     cfg.sub_seed(&format!("t1-engine-{}-{r}", spec.name)),
-                    cfg.backend,
                     cfg.shards,
                 )
             });
@@ -227,19 +216,16 @@ pub fn table2(cfg: &Config, runs: u64) -> Table {
         // budget: each estimator holds up to two edges.
         let r_nsamp = (m / 2).max(8);
 
-        // One factory per method so each run gets fresh state; every
-        // store-based method runs on the configured adjacency backend
-        // (NSAMP-BULK keeps no adjacency, so it has no backend axis).
-        let backend = cfg.backend;
+        // One factory per method so each run gets fresh state.
         type Factory<'a> = Box<dyn Fn(u64) -> Box<dyn TriangleEstimator> + 'a>;
         let factories: Vec<Factory> = vec![
             Box::new(move |seed| Box::new(NSampBulk::new(r_nsamp, seed))),
-            Box::new(move |seed| Box::new(TriestBase::with_backend(m, seed, backend))),
-            Box::new(move |seed| Box::new(Mascot::with_backend(p_mascot, seed, backend))),
-            Box::new(move |seed| Box::new(GpsPost::with_backend(m, seed, backend))),
+            Box::new(move |seed| Box::new(TriestBase::new(m, seed))),
+            Box::new(move |seed| Box::new(Mascot::new(p_mascot, seed))),
+            Box::new(move |seed| Box::new(GpsPost::new(m, seed))),
             // Not in the paper's Table 2; added for the apples-to-apples
             // arrival-counting comparison against MASCOT.
-            Box::new(move |seed| Box::new(GpsInStream::with_backend(m, seed, backend))),
+            Box::new(move |seed| Box::new(GpsInStream::new(m, seed))),
         ];
         for factory in &factories {
             let mut err = Running::new();
@@ -303,18 +289,13 @@ pub fn table3(cfg: &Config, runs: u64, checkpoints: usize) -> Table {
             );
             let seed = cfg.sub_seed(&format!("t3-est-{}-{r}", spec.name));
             let mut methods: Vec<Box<dyn TriangleEstimator>> = vec![
-                Box::new(TriestBase::with_backend(m, seed, cfg.backend)),
-                Box::new(TriestImpr::with_backend(m, seed, cfg.backend)),
-                Box::new(GpsPost::with_backend(m, seed, cfg.backend)),
-                Box::new(GpsInStream::with_backend(m, seed, cfg.backend)),
+                Box::new(TriestBase::new(m, seed)),
+                Box::new(TriestImpr::new(m, seed)),
+                Box::new(GpsPost::new(m, seed)),
+                Box::new(GpsInStream::new(m, seed)),
             ];
             if cfg.shards > 1 {
-                methods.push(Box::new(ShardedInStream::with_backend(
-                    m,
-                    seed,
-                    cfg.shards,
-                    cfg.backend,
-                )));
+                methods.push(Box::new(ShardedInStream::new(m, seed, cfg.shards)));
             }
             let actual = std::cell::RefCell::new(IncrementalCounter::new());
             let cps = Checkpoints::linear(stream.len(), checkpoints);
@@ -370,7 +351,6 @@ pub fn fig1(cfg: &Config, runs: u64) -> Table {
                 m,
                 cfg.sub_seed(&format!("f1-stream-{}-{r}", spec.name)),
                 cfg.sub_seed(&format!("f1-sampler-{}-{r}", spec.name)),
-                cfg.backend,
             );
             tri.push(pair.in_stream.triangles.value / truth.triangles.max(1.0));
             wedge.push(pair.in_stream.wedges.value / truth.wedges.max(1.0));
@@ -403,7 +383,6 @@ pub fn fig2(cfg: &Config) -> Table {
                 m,
                 cfg.sub_seed(&format!("f2-stream-{}-{frac}", spec.name)),
                 cfg.sub_seed(&format!("f2-sampler-{}-{frac}", spec.name)),
-                cfg.backend,
             );
             let est = pair.in_stream.triangles;
             let (lb, ub) = est.ci95();
@@ -441,11 +420,10 @@ pub fn fig3(cfg: &Config, checkpoints: usize) -> Table {
         let spec = corpus::by_name(name).expect("known workload");
         let edges = build(&spec, cfg);
         let stream = permuted(&edges, cfg.sub_seed(&format!("f3-stream-{name}")));
-        let mut est = InStreamEstimator::with_backend(
+        let mut est = InStreamEstimator::new(
             m,
             TriangleWeight::default(),
             cfg.sub_seed(&format!("f3-{name}")),
-            cfg.backend,
         );
         let mut actual = IncrementalCounter::new();
         let cps = Checkpoints::linear(stream.len(), checkpoints);
@@ -507,12 +485,8 @@ pub fn ablation(cfg: &Config, runs: u64) -> Table {
             let (mut ti, mut wi, mut tp, mut wp) = (0.0, 0.0, 0.0, 0.0);
             for r in 0..runs {
                 let stream = permuted(edges, cfg.sub_seed(&format!("ab-stream-{label}-{r}")));
-                let mut est = InStreamEstimator::with_backend(
-                    m,
-                    w,
-                    cfg.sub_seed(&format!("ab-est-{label}-{r}")),
-                    cfg.backend,
-                );
+                let mut est =
+                    InStreamEstimator::new(m, w, cfg.sub_seed(&format!("ab-est-{label}-{r}")));
                 est.process_stream(stream);
                 let e_in = est.estimates();
                 let e_post = post_stream::estimate(est.sampler());
@@ -620,7 +594,6 @@ mod tests {
             seed: 7,
             out_dir: None,
             threads: 2,
-            backend: BackendKind::Compact,
             shards: 2,
         }
     }
@@ -655,18 +628,12 @@ mod tests {
     }
 
     #[test]
-    fn table2_is_backend_independent_up_to_timing() {
+    fn table2_is_reproducible_up_to_timing() {
         // Same seeds, same streams: every estimate — and hence every ARE
-        // and stored-edge cell — must be bit-identical across adjacency
-        // backends; only the us/edge timing column may differ.
-        let compact = table2(&tiny_cfg(), 1);
-        let hashmap = table2(
-            &Config {
-                backend: BackendKind::HashMap,
-                ..tiny_cfg()
-            },
-            1,
-        );
+        // and stored-edge cell — must be bit-identical across runs; only
+        // the us/edge timing column may differ.
+        let first = table2(&tiny_cfg(), 1);
+        let second = table2(&tiny_cfg(), 1);
         let strip_timing = |t: &Table| -> Vec<String> {
             t.to_tsv()
                 .lines()
@@ -676,7 +643,7 @@ mod tests {
                 })
                 .collect()
         };
-        assert_eq!(strip_timing(&compact), strip_timing(&hashmap));
+        assert_eq!(strip_timing(&first), strip_timing(&second));
     }
 
     #[test]

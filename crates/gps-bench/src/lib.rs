@@ -16,9 +16,8 @@
 //! | §3.5 weight ablation (not a numbered figure) | [`experiments::ablation`] | `ablation` |
 //! | §6 update-cost claim ("a few μs per edge") | [`perf::run_all`] | `bench_baseline` |
 //!
-//! `bench_baseline` additionally measures the compact adjacency backend
-//! against the pre-refactor hash-map backend and persists the numbers as a
-//! committed JSON trajectory (`BENCH_PR2.json`); see [`perf`] and [`json`].
+//! `bench_baseline` persists the update-cost numbers as a committed JSON
+//! trajectory (`BENCH_PR2.json`); see [`perf`] and [`json`].
 //!
 //! Scale, seed and output directory come from CLI flags / environment; see
 //! [`config::Config`].

@@ -56,6 +56,7 @@ use crate::in_stream::{InStreamEstimator, InStreamState};
 use crate::reservoir::GpsSampler;
 use crate::weights::EdgeWeight;
 use gps_graph::types::Edge;
+use gps_graph::FxHashSet;
 
 /// Magic first line of the sample-only format.
 const MAGIC: &str = "gps-sample v1";
@@ -84,6 +85,9 @@ pub enum PersistError {
         /// Actual parsed count.
         found: usize,
     },
+    /// The section parses but describes no sampler state: a zero capacity,
+    /// more records than the capacity, or the same edge twice.
+    Invalid(String),
 }
 
 impl std::fmt::Display for PersistError {
@@ -97,6 +101,7 @@ impl std::fmt::Display for PersistError {
             PersistError::CountMismatch { declared, found } => {
                 write!(f, "sample declares {declared} edges but contains {found}")
             }
+            PersistError::Invalid(reason) => write!(f, "invalid sample section: {reason}"),
         }
     }
 }
@@ -152,12 +157,7 @@ impl SavedSample {
     /// resumes *exactly* (accumulators reinstated, estimates bit-identical
     /// at the save watermark); a v1 section falls back to the inexact
     /// post-stream re-seeding of [`InStreamEstimator::from_sampler`].
-    pub fn into_estimator<W: EdgeWeight>(
-        self,
-        weight_fn: W,
-        seed: u64,
-        backend: gps_graph::BackendKind,
-    ) -> InStreamEstimator<W> {
+    pub fn into_estimator<W: EdgeWeight>(self, weight_fn: W, seed: u64) -> InStreamEstimator<W> {
         let SavedSample {
             capacity,
             arrivals,
@@ -165,9 +165,7 @@ impl SavedSample {
             records,
             in_stream,
         } = self;
-        let sampler = GpsSampler::restore_with_backend(
-            capacity, weight_fn, seed, threshold, arrivals, records, backend,
-        );
+        let sampler = GpsSampler::restore(capacity, weight_fn, seed, threshold, arrivals, records);
         match in_stream {
             // The v2 parser guarantees one per-edge entry per record, so
             // `resume`'s length contract holds for any loaded section.
@@ -304,10 +302,12 @@ pub fn load<R: Read>(reader: R) -> Result<SavedSample, PersistError> {
 /// section per shard, of either kind). Line numbers in errors are relative
 /// to the start of the section.
 ///
-/// Every numeric field is validated on load — weights and priorities must
-/// be finite and positive, the threshold finite and non-negative, the
-/// accumulators finite — so a section that parses can always be restored
-/// without panicking ([`PersistError`], never a corrupt sampler). Every
+/// Every field is validated on load — weights and priorities must be
+/// finite and positive, the threshold finite and non-negative, the
+/// accumulators finite, the capacity positive and at least the record
+/// count, and no edge may appear twice — so a section that loads can
+/// always be restored without panicking: anything else is a
+/// [`PersistError`], never a corrupt sampler. Every
 /// consumed line must carry its newline terminator (the writer always
 /// emits one): a file cut mid-line errors instead of parsing a shortened
 /// final number as a silently different value.
@@ -357,6 +357,9 @@ pub fn load_section<R: BufRead>(r: &mut R) -> Result<SavedSample, PersistError> 
     let capacity: usize = header(r, &mut line, "capacity")?
         .parse()
         .map_err(|_| parse_err(2, &line))?;
+    if capacity == 0 {
+        return Err(PersistError::Invalid("capacity 0".into()));
+    }
     let arrivals: u64 = header(r, &mut line, "arrivals")?
         .parse()
         .map_err(|_| parse_err(3, &line))?;
@@ -391,13 +394,14 @@ pub fn load_section<R: BufRead>(r: &mut R) -> Result<SavedSample, PersistError> 
     let count: usize = header(r, &mut line, "edges")?
         .parse()
         .map_err(|_| parse_err(header_lines, &line))?;
-
     // Cap the pre-allocation: `count` comes from the file, and a corrupt
     // header must surface as CountMismatch (EOF before `count` records),
     // not a capacity-overflow panic. The vector still grows to any honest
     // count.
     let mut records = Vec::with_capacity(count.min(1 << 20));
     let mut per_edge = Vec::with_capacity(if v2 { count.min(1 << 20) } else { 0 });
+    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    seen.reserve(count.min(1 << 20));
     let mut body_line = header_lines;
     while records.len() < count {
         line.clear();
@@ -438,7 +442,19 @@ pub fn load_section<R: BufRead>(r: &mut R) -> Result<SavedSample, PersistError> 
             per_edge.push((cov_tri, cov_wedge));
         }
         let edge = Edge::try_new(u, v).ok_or_else(|| parse_err(body_line, trimmed))?;
+        if !seen.insert(edge.key()) {
+            return Err(PersistError::Invalid(format!(
+                "line {body_line}: duplicate edge {edge}"
+            )));
+        }
         records.push((edge, weight, priority));
+    }
+    // Checked once the body is read, so a declared count the body cannot
+    // back is a CountMismatch whatever the capacity says.
+    if count > capacity {
+        return Err(PersistError::Invalid(format!(
+            "{count} records exceed capacity {capacity}"
+        )));
     }
     let in_stream = acc.map(
         |[n_tri, v_tri, n_wedge, v_wedge, tri_wedge_cov]| InStreamState {
@@ -620,11 +636,7 @@ mod tests {
         save_estimator(&est, &mut buf).unwrap();
         let saved = load(buf.as_slice()).unwrap();
         assert_eq!(saved.in_stream.as_ref(), Some(&state));
-        let restored = saved.into_estimator(
-            TriangleWeight::default(),
-            3,
-            gps_graph::BackendKind::Compact,
-        );
+        let restored = saved.into_estimator(TriangleWeight::default(), 3);
         let after = restored.estimates();
         assert_eq!(
             before.triangles.value.to_bits(),
@@ -709,6 +721,61 @@ mod tests {
                 "accepted: {body}"
             );
         }
+    }
+
+    /// A saved 12-capacity sampler's section with one line edited.
+    fn edited_section(edit: impl Fn(&str) -> String) -> String {
+        let mut buf = Vec::new();
+        save(&loaded_sampler(), &mut buf).unwrap();
+        edit(std::str::from_utf8(&buf).unwrap())
+    }
+
+    /// Replaces the second record line with a copy of the first.
+    fn duplicate_first_record(text: &str) -> String {
+        let mut lines: Vec<&str> = text.lines().collect();
+        let first = lines
+            .iter()
+            .position(|l| l.starts_with(|c: char| c.is_ascii_digit()))
+            .unwrap();
+        lines[first + 1] = lines[first];
+        lines.join("\n") + "\n"
+    }
+
+    /// Sets the weight column of the first record to `0`.
+    fn zero_first_weight(text: &str) -> String {
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let first = lines
+            .iter()
+            .position(|l| l.starts_with(|c: char| c.is_ascii_digit()))
+            .unwrap();
+        let mut fields: Vec<&str> = lines[first].split(' ').collect();
+        fields[2] = "0";
+        lines[first] = fields.join(" ");
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn sections_that_parse_but_cannot_restore_are_invalid() {
+        // One-line edits of a real section: each still parses line by line,
+        // and each would make GpsSampler::restore panic if it loaded.
+        let shrunk = edited_section(|t| t.replace("capacity 12", "capacity 2"));
+        assert!(matches!(
+            load(shrunk.as_bytes()),
+            Err(PersistError::Invalid(_))
+        ));
+        let zero_cap = edited_section(|t| t.replace("capacity 12", "capacity 0"));
+        assert!(matches!(
+            load(zero_cap.as_bytes()),
+            Err(PersistError::Invalid(_))
+        ));
+        match load(edited_section(duplicate_first_record).as_bytes()) {
+            Err(PersistError::Invalid(reason)) => assert!(reason.contains("duplicate"), "{reason}"),
+            other => panic!("expected a duplicate-edge error, got {other:?}"),
+        }
+        assert!(matches!(
+            load(edited_section(zero_first_weight).as_bytes()),
+            Err(PersistError::Parse { .. })
+        ));
     }
 
     #[test]

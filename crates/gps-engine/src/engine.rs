@@ -68,8 +68,6 @@ pub struct EngineConfig {
     pub batch: usize,
     /// Bounded channel depth, in batches per shard.
     pub queue: usize,
-    /// Adjacency backend every shard's sampler runs on.
-    pub backend: BackendKind,
     /// Per-shard arrivals between two [`ShardReport`]s on the epoch hook
     /// (in-stream estimating mode only; ignored without a hook).
     pub epoch_every: u64,
@@ -101,7 +99,7 @@ const SHIP_BACKOFF: Duration = Duration::from_micros(50);
 
 impl EngineConfig {
     /// A config with the tuned defaults: 1024-edge batches, 4-batch queues,
-    /// compact backend, a shard report every [`DEFAULT_EPOCH_EVERY`]
+    /// a shard report every [`DEFAULT_EPOCH_EVERY`]
     /// per-shard arrivals, no checkpointing, no timeouts.
     pub fn new(capacity: usize, shards: usize, seed: u64) -> Self {
         EngineConfig {
@@ -110,7 +108,6 @@ impl EngineConfig {
             seed,
             batch: 1024,
             queue: 4,
-            backend: BackendKind::Compact,
             epoch_every: DEFAULT_EPOCH_EVERY,
             checkpoint_every: 0,
             push_timeout: None,
@@ -778,11 +775,10 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
     fn fresh_samplers(cfg: &EngineConfig, weight_fn: &W) -> Vec<GpsSampler<W>> {
         (0..cfg.shards)
             .map(|i| {
-                GpsSampler::with_backend(
+                GpsSampler::new(
                     Self::shard_capacity(cfg.capacity, cfg.shards, i),
                     weight_fn.clone(),
                     shard_seed(cfg.seed, i),
-                    cfg.backend,
                 )
             })
             .collect()
@@ -917,7 +913,7 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
             &bytes,
             self.weight_fn.clone(),
             seed,
-            self.cfg.backend,
+            BackendKind::Compact,
             Self::shard_capacity(self.cfg.capacity, self.cfg.shards, shard),
             self.estimating,
             hook,

@@ -108,13 +108,22 @@ impl<W: EdgeWeight> ShardRunner<W> {
     /// supervisor. `estimating` selects the runner kind (a v2 section's
     /// in-stream state is dropped for a plain runner); `every` is the
     /// report cadence for estimating runners.
+    ///
+    /// A checkpoint is corrupt whenever `persist::load` rejects it, which
+    /// covers sections that parse but describe no valid sampler (more
+    /// records than capacity, a duplicated edge): those take the same
+    /// from-scratch path instead of panicking in the restore.
+    ///
+    /// `_backend` is ignored: [`BackendKind`] has the single variant
+    /// [`BackendKind::Compact`]. The parameter stays only so the benchmark
+    /// package's call keeps compiling; it goes once that call drops it.
     #[allow(clippy::too_many_arguments)]
     pub fn from_checkpoint(
         shard: usize,
         bytes: &[u8],
         weight_fn: W,
         seed: u64,
-        backend: BackendKind,
+        _backend: BackendKind,
         scratch_capacity: usize,
         estimating: bool,
         hook: Option<EpochHook>,
@@ -135,13 +144,12 @@ impl<W: EdgeWeight> ShardRunner<W> {
                 records,
                 in_stream,
             }) => {
-                let sampler = GpsSampler::restore_with_backend(
-                    capacity, weight_fn, seed, threshold, arrivals, records, backend,
-                );
+                let sampler =
+                    GpsSampler::restore(capacity, weight_fn, seed, threshold, arrivals, records);
                 (build(sampler, in_stream), arrivals, false)
             }
             Err(_) => {
-                let sampler = GpsSampler::with_backend(scratch_capacity, weight_fn, seed, backend);
+                let sampler = GpsSampler::new(scratch_capacity, weight_fn, seed);
                 (build(sampler, None), 0, true)
             }
         }
@@ -349,6 +357,82 @@ mod tests {
         assert_eq!(watermark, 0);
         assert_eq!(runner.arrivals(), 0);
         assert!(runner.estimates().is_none(), "plain runner: no estimates");
+    }
+
+    /// A full 32-edge estimating shard's checkpoint with one line edited.
+    fn edited_checkpoint(edit: impl Fn(Vec<&str>) -> Vec<String>) -> Vec<u8> {
+        let mut runner = ShardRunner::estimating(
+            0,
+            GpsSampler::new(32, TriangleWeight::default(), 7),
+            None,
+            None,
+            1 << 30,
+        );
+        for e in stream(60) {
+            runner.process(e);
+        }
+        let bytes = runner.checkpoint_bytes();
+        let text = String::from_utf8(bytes).expect("text checkpoint");
+        assert!(text.contains("capacity 32\n") && text.contains("edges 32\n"));
+        let mut out = edit(text.lines().collect()).join("\n");
+        out.push('\n');
+        out.into_bytes()
+    }
+
+    /// Index of the first record line (header lines start with a key).
+    fn first_record(lines: &[&str]) -> usize {
+        lines
+            .iter()
+            .position(|l| l.starts_with(|c: char| c.is_ascii_digit()))
+            .expect("a record line")
+    }
+
+    #[test]
+    fn checkpoints_that_parse_but_cannot_restore_are_corrupt() {
+        let shrunk = edited_checkpoint(|lines| {
+            lines
+                .iter()
+                .map(|l| l.replace("capacity 32", "capacity 12"))
+                .collect()
+        });
+        let duplicated = edited_checkpoint(|lines| {
+            let first = first_record(&lines);
+            let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            out[first + 1] = lines[first].to_string();
+            out
+        });
+        let zero_weight = edited_checkpoint(|lines| {
+            let first = first_record(&lines);
+            let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            let mut fields: Vec<&str> = lines[first].split(' ').collect();
+            fields[2] = "0";
+            out[first] = fields.join(" ");
+            out
+        });
+        for (what, bytes) in [
+            ("capacity edit", shrunk),
+            ("duplicated record", duplicated),
+            ("zero weight", zero_weight),
+        ] {
+            assert!(persist::load(bytes.as_slice()).is_err(), "{what} loaded");
+            for estimating in [false, true] {
+                let (runner, watermark, corrupt) = ShardRunner::from_checkpoint(
+                    0,
+                    &bytes,
+                    TriangleWeight::default(),
+                    restart_seed(7, 0, 1),
+                    BackendKind::Compact,
+                    32,
+                    estimating,
+                    None,
+                    1 << 30,
+                );
+                assert!(corrupt, "{what}: not reported corrupt");
+                assert_eq!(watermark, 0, "{what}");
+                assert_eq!(runner.arrivals(), 0, "{what}");
+                assert_eq!(runner.sampler().capacity(), 32, "{what}: scratch budget");
+            }
+        }
     }
 
     #[test]

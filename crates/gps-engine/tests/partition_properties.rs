@@ -20,7 +20,6 @@
 use gps_core::weights::UniformWeight;
 use gps_engine::{load_engine, EdgePartitioner, EngineConfig, ShardedGps};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 
 /// `splitmix64` (same constants as the partitioner's, but used here as a
 /// plain seeded u64 stream for test-local draws).
@@ -141,7 +140,7 @@ fn restored_engine_routes_subsequent_edges_identically() {
         let saved = load_engine(saved_bytes.as_slice()).expect("load");
         assert_eq!(saved.seed, seed);
         assert_eq!(saved.shards.len(), shards);
-        let mut restored = saved.into_engine(UniformWeight, BackendKind::Compact);
+        let mut restored = saved.into_engine(UniformWeight);
         restored.push_stream(after.iter().copied());
         restored.finish();
         for &e in &after {

@@ -5,12 +5,10 @@
 //! value `V` per edge (the sampler stores reservoir slot ids; plain graph
 //! uses store `()`).
 //!
-//! As of the compact-backend refactor the GPS reservoir runs on
-//! [`crate::CompactAdjacency`] by default; this map remains the simple
-//! reference implementation — the oracle for the differential property
-//! tests and the "before" arm of the `bench_baseline` perf harness — and
-//! still backs callers without hot-path pressure (generators, baselines,
-//! incremental counters).
+//! Every sampler runs on [`crate::CompactAdjacency`]; this map remains the
+//! simple reference implementation — the oracle for the differential
+//! property tests — and still backs callers without hot-path pressure
+//! (the incremental exact counter).
 //!
 //! Common-neighbor enumeration — the inner loop of both the triangle-count
 //! weight function `W(k, K̂) = 9|△̂(k)| + 1` and the post-stream estimator —

@@ -43,9 +43,9 @@
 //! slot table. The only hash in the structure is the node-interning map,
 //! gated by the filter and bypassed on eviction via [`EdgeHints`].
 //!
-//! The old [`crate::AdjacencyMap`] remains in-tree as the differential
-//! oracle (`tests/compact_differential.rs`) and as the baseline arm of the
-//! `bench_baseline` perf harness.
+//! This is the only adjacency representation a sampler runs on. The old
+//! [`crate::AdjacencyMap`] remains in-tree as the differential oracle
+//! (`tests/compact_differential.rs`).
 
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::types::{Edge, NodeId};
@@ -92,6 +92,17 @@ fn mix(node: NodeId) -> usize {
     ((node as u64).wrapping_mul(MIX_MUL) >> 32) as usize
 }
 
+/// The adjacency representation a sampler runs on. [`CompactAdjacency`]
+/// is the only one: the enum survives with a single variant so that the
+/// benchmark package's calls to `GpsSampler::with_backend` and
+/// `ShardRunner::from_checkpoint` keep compiling, and both ignore it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum BackendKind {
+    /// Interned, slab-backed [`CompactAdjacency`].
+    #[default]
+    Compact,
+}
+
 /// Opaque endpoint-slot hints returned by
 /// [`CompactAdjacency::insert_with_hints`]. A node's dense slot index is
 /// stable for as long as the node has any incident edge, so the caller can
@@ -99,7 +110,7 @@ fn mix(node: NodeId) -> usize {
 /// [`CompactAdjacency::remove_hinted`] to skip both node-table hash probes
 /// on eviction. Hints are verified before use and fall back to the normal
 /// lookup, so a stale hint can never corrupt the structure.
-/// [`EdgeHints::default`] (used by backends without hints) is always safe.
+/// [`EdgeHints::default`] (no hint) is always safe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EdgeHints {
     /// Slot of the smaller endpoint, or `FREE_NONE` for "no hint".
@@ -355,6 +366,19 @@ impl<V: Copy> CompactAdjacency<V> {
             Some(idx) => self.list(idx),
             None => &[],
         }
+    }
+
+    /// The `index`-th neighbor of `node` (with the value on the connecting
+    /// edge), or `None` if `index >= degree(node)`. O(1) slice indexing.
+    ///
+    /// Which neighbor occupies a given index is representation-defined
+    /// (inline lists are arrival-ordered, spilled ones id-sorted), so this
+    /// is only meaningful for order-oblivious uses — e.g. drawing a
+    /// *uniform* random neighbor, the triad-formation step of the
+    /// Holme–Kim generator.
+    #[inline]
+    pub fn neighbor_at(&self, node: NodeId, index: usize) -> Option<(NodeId, V)> {
+        self.neighbor_slice(node).get(index).copied()
     }
 
     /// Iterates over the neighbors of `node` together with the value on the
@@ -1249,6 +1273,50 @@ mod tests {
         assert_eq!(nodes, vec![7, 8]);
         assert_eq!(g.node_set().len(), 2);
         assert_eq!(g.degree(1), 0, "old id must not resolve to a reused slot");
+    }
+
+    #[test]
+    fn completion_walk_matches_separate_walks() {
+        // for_each_completion must report exactly what the separate
+        // common-neighbor + incident walks (with self-exclusion) report,
+        // for present/absent endpoint combinations.
+        let mut g: CompactAdjacency<u32> = CompactAdjacency::new();
+        g.insert(Edge::new(1, 2), 12);
+        g.insert(Edge::new(2, 3), 23);
+        g.insert(Edge::new(1, 3), 13);
+        g.insert(Edge::new(3, 4), 34);
+        for (u, v) in [(1, 2), (2, 1), (1, 4), (4, 5), (5, 6), (3, 9)] {
+            let (mut tri_a, mut wedge_a) = (vec![], vec![]);
+            g.for_each_completion(u, v, |w, x, y| tri_a.push((w, x, y)), |x| wedge_a.push(x));
+            let (mut tri_b, mut wedge_b) = (vec![], vec![]);
+            g.for_each_common_neighbor(u, v, |w, x, y| tri_b.push((w, x, y)));
+            for (n, x) in g.neighbors(u).chain(g.neighbors(v)) {
+                if n != u && n != v {
+                    wedge_b.push(x);
+                }
+            }
+            tri_a.sort_unstable();
+            tri_b.sort_unstable();
+            wedge_a.sort_unstable();
+            wedge_b.sort_unstable();
+            assert_eq!(tri_a, tri_b, "common mismatch at ({u},{v})");
+            assert_eq!(wedge_a, wedge_b, "incident mismatch at ({u},{v})");
+        }
+    }
+
+    #[test]
+    fn neighbor_at_covers_each_neighbor_exactly_once() {
+        let mut g: CompactAdjacency<u32> = CompactAdjacency::new();
+        for i in 0..10u32 {
+            g.insert(Edge::new(100, i), i);
+        }
+        let mut seen: Vec<(NodeId, u32)> = (0..g.degree(100))
+            .map(|i| g.neighbor_at(100, i).expect("index < degree"))
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..10u32).map(|i| (i, i)).collect::<Vec<_>>());
+        assert_eq!(g.neighbor_at(100, 10), None);
+        assert_eq!(g.neighbor_at(999, 0), None, "unknown node has no neighbors");
     }
 
     #[test]

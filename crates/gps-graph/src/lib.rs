@@ -15,9 +15,6 @@
 //!   ([`CompactAdjacency`]) that actually backs the GPS reservoir: inline
 //!   small-buffer neighbor lists spilling into a shared slab pool, with an
 //!   adaptive common-neighbor kernel.
-//! - [`backend`]: [`AdjacencyBackend`], a runtime-selectable wrapper over
-//!   the two representations so samplers can be measured and differentially
-//!   tested on both.
 //! - [`csr`]: an immutable compressed-sparse-row graph for exact analytics.
 //! - [`exact`]: exact triangle / wedge / clustering-coefficient computation
 //!   (degree-ordered intersection, `O(m^{3/2})`) plus brute-force references
@@ -35,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adjacency;
-pub mod backend;
 pub mod compact;
 pub mod csr;
 pub mod degrees;
@@ -47,8 +43,7 @@ pub mod io;
 pub mod types;
 
 pub use adjacency::AdjacencyMap;
-pub use backend::{AdjacencyBackend, BackendKind};
-pub use compact::{CompactAdjacency, EdgeHints};
+pub use compact::{BackendKind, CompactAdjacency, EdgeHints};
 pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use hash::{FxHashMap, FxHashSet};

@@ -7,8 +7,10 @@
 //! every return value plus full observable state (degrees, neighbor sets,
 //! edge sets, common-neighbor enumeration with value orientation).
 
+use std::collections::HashMap;
+
 use gps_graph::types::{Edge, NodeId};
-use gps_graph::{AdjacencyMap, CompactAdjacency};
+use gps_graph::{AdjacencyMap, CompactAdjacency, EdgeHints};
 use proptest::prelude::*;
 
 /// A random edit operation over a small node universe.
@@ -57,6 +59,14 @@ fn assert_equivalent(compact: &CompactAdjacency<u32>, oracle: &AdjacencyMap<u32>
         cn.sort_unstable();
         on.sort_unstable();
         assert_eq!(cn, on, "neighbors({node})");
+        // neighbor_at enumerates the same list by index, then runs out.
+        let degree = compact.degree(node);
+        let mut indexed: Vec<(NodeId, u32)> = (0..degree)
+            .map(|i| compact.neighbor_at(node, i).expect("index < degree"))
+            .collect();
+        indexed.sort_unstable();
+        assert_eq!(indexed, on, "neighbor_at({node}, ..)");
+        assert_eq!(compact.neighbor_at(node, degree), None);
     }
 
     // Common-neighbor enumeration must agree as a set, including the value
@@ -70,6 +80,11 @@ fn assert_equivalent(compact: &CompactAdjacency<u32>, oracle: &AdjacencyMap<u32>
             cc.sort_unstable();
             oc.sort_unstable();
             assert_eq!(cc, oc, "common neighbors of ({u}, {v})");
+            assert_eq!(
+                completion(compact, u, v),
+                completion_oracle(oracle, u, v),
+                "completion walk of ({u}, {v})"
+            );
             assert_eq!(
                 compact.common_neighbor_count(u, v),
                 oracle.common_neighbor_count(u, v)
@@ -86,6 +101,27 @@ fn assert_equivalent(compact: &CompactAdjacency<u32>, oracle: &AdjacencyMap<u32>
             );
         }
     }
+}
+
+/// Sorted `(triangles, wedges)` reported by the fused completion walk —
+/// the Alg. 3 inner loop. Enumeration order is representation-defined, so
+/// the two sides are compared as multisets.
+type Completion = (Vec<(NodeId, u32, u32)>, Vec<u32>);
+
+fn completion(g: &CompactAdjacency<u32>, u: NodeId, v: NodeId) -> Completion {
+    let (mut tri, mut wedge) = (vec![], vec![]);
+    g.for_each_completion(u, v, |w, a, b| tri.push((w, a, b)), |x| wedge.push(x));
+    tri.sort_unstable();
+    wedge.sort_unstable();
+    (tri, wedge)
+}
+
+fn completion_oracle(g: &AdjacencyMap<u32>, u: NodeId, v: NodeId) -> Completion {
+    let (mut tri, mut wedge) = (vec![], vec![]);
+    g.for_each_completion(u, v, |w, a, b| tri.push((w, a, b)), |x| wedge.push(x));
+    tri.sort_unstable();
+    wedge.sort_unstable();
+    (tri, wedge)
 }
 
 proptest! {
@@ -229,5 +265,38 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #[test]
+    fn hinted_insert_and_remove_match_oracle(ops in arb_ops(10, 400)) {
+        // The reservoir's path: insert_with_hints at admission, remove_hinted
+        // with the stored hints at eviction. Hints are kept per edge across
+        // removal, so removes of absent edges and of re-inserted ones also
+        // run with stale hints, which must degrade to a plain lookup.
+        let mut compact: CompactAdjacency<u32> = CompactAdjacency::new();
+        let mut oracle: AdjacencyMap<u32> = AdjacencyMap::new();
+        let mut hints: HashMap<Edge, EdgeHints> = HashMap::new();
+        for &op in &ops {
+            match op {
+                Op::Insert(e, v) => {
+                    let (prev, h) = compact.insert_with_hints(e, v);
+                    prop_assert_eq!(prev, oracle.insert(e, v), "insert {}", e);
+                    hints.insert(e, h);
+                }
+                Op::Remove(e) => {
+                    let h = hints.get(&e).copied().unwrap_or_default();
+                    prop_assert_eq!(compact.remove_hinted(e, h), oracle.remove(e), "remove {}", e);
+                }
+                Op::Set(e, v) => {
+                    prop_assert_eq!(compact.set(e, v), oracle.set(e, v), "set {}", e);
+                }
+            }
+            // Insert order and node churn move inline/spilled lists around;
+            // the completion walk of a fixed probe must track the oracle.
+            prop_assert_eq!(completion(&compact, 0, 1), completion_oracle(&oracle, 0, 1));
+        }
+        assert_equivalent(&compact, &oracle, 10);
     }
 }

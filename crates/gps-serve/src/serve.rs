@@ -9,7 +9,6 @@ use gps_core::TriadEstimates;
 use gps_engine::snapshot::SavedEngine;
 use gps_engine::{EngineConfig, EngineHealth, EpochHook, FaultPlan, ShardedGps};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 use gps_telemetry::{EpochTrace, Registry, TelemetrySnapshot};
 use std::net::SocketAddr;
 use std::sync::mpsc::Receiver;
@@ -183,7 +182,6 @@ impl<W: EdgeWeight + Clone + Send + 'static> ServeEngine<W> {
     pub fn resume(
         saved: SavedEngine,
         weight_fn: W,
-        backend: BackendKind,
         epoch_every: u64,
         handle: &QueryHandle,
     ) -> Self {
@@ -194,7 +192,6 @@ impl<W: EdgeWeight + Clone + Send + 'static> ServeEngine<W> {
         // stay cumulative across the snapshot/restore cycle.
         let engine = saved.into_serving_engine_on_registry(
             weight_fn,
-            backend,
             Some(Self::hook_for(&board, generation)),
             epoch_every,
             board.telemetry_registry(),

@@ -6,7 +6,6 @@
 use gps_core::weights::TriangleWeight;
 use gps_engine::snapshot::load_engine;
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 use gps_serve::{EstimateEpoch, ServeEngine};
 
 fn triangle_stream(lo: u32, hi: u32) -> Vec<Edge> {
@@ -51,7 +50,6 @@ fn epochs_stay_monotone_across_save_and_restore() {
     let mut resumed = ServeEngine::resume(
         saved,
         TriangleWeight::default(),
-        BackendKind::Compact,
         gps_engine::DEFAULT_EPOCH_EVERY,
         &handle,
     );
@@ -111,7 +109,6 @@ fn resume_requires_a_finished_predecessor() {
         ServeEngine::resume(
             saved,
             TriangleWeight::default(),
-            BackendKind::Compact,
             gps_engine::DEFAULT_EPOCH_EVERY,
             &handle,
         )
@@ -142,7 +139,6 @@ fn waiters_on_the_resumed_generation_see_the_combined_watermark() {
     let mut resumed = ServeEngine::resume(
         saved,
         TriangleWeight::default(),
-        BackendKind::Compact,
         gps_engine::DEFAULT_EPOCH_EVERY,
         &handle,
     );

@@ -37,7 +37,6 @@ use gps_core::weights::EdgeWeight;
 use gps_core::TriadEstimates;
 use gps_engine::{EdgePartitioner, ShardedGps};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 use gps_telemetry::{
     EpochTrace, Event as TelemetryEvent, EventKind, Registry, Stability, TelemetrySnapshot,
     TraceCause,
@@ -72,8 +71,6 @@ pub struct SimConfig {
     pub agg_link: Link,
     /// Root publish cadence in virtual time.
     pub publish_every_ns: u64,
-    /// Adjacency backend for the production samplers.
-    pub backend: BackendKind,
 }
 
 impl SimConfig {
@@ -98,7 +95,6 @@ impl SimConfig {
                 jitter_ns: 40_000,
             },
             publish_every_ns: 1_000_000,
-            backend: BackendKind::Compact,
         }
     }
 
@@ -307,7 +303,6 @@ where
                 cfg.seed,
                 cfg.checkpoint_every,
                 cfg.epoch_every,
-                cfg.backend,
                 weight_fn.clone(),
             )
         })

@@ -38,7 +38,6 @@ pub struct LeafNode<W> {
     capacity: usize,
     checkpoint_every: u64,
     epoch_every: u64,
-    backend: BackendKind,
     weight_fn: W,
     /// `None` while crashed (between crash and restore).
     runner: Option<ShardRunner<W>>,
@@ -64,15 +63,9 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
         engine_seed: u64,
         checkpoint_every: u64,
         epoch_every: u64,
-        backend: BackendKind,
         weight_fn: W,
     ) -> Self {
-        let sampler = GpsSampler::with_backend(
-            capacity,
-            weight_fn.clone(),
-            shard_seed(engine_seed, shard),
-            backend,
-        );
+        let sampler = GpsSampler::new(capacity, weight_fn.clone(), shard_seed(engine_seed, shard));
         let runner = ShardRunner::estimating(shard, sampler, None, None, epoch_every);
         let ckpt = runner.checkpoint_bytes();
         LeafNode {
@@ -81,7 +74,6 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
             capacity,
             checkpoint_every,
             epoch_every,
-            backend,
             weight_fn,
             runner: Some(runner),
             ckpt,
@@ -167,7 +159,7 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
             &self.ckpt,
             self.weight_fn.clone(),
             seed,
-            self.backend,
+            BackendKind::Compact,
             self.capacity,
             true,
             None,
@@ -224,15 +216,7 @@ mod tests {
     }
 
     fn node() -> LeafNode<TriangleWeight> {
-        LeafNode::new(
-            0,
-            32,
-            7,
-            16,
-            64,
-            BackendKind::Compact,
-            TriangleWeight::default(),
-        )
+        LeafNode::new(0, 32, 7, 16, 64, TriangleWeight::default())
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Holme–Kim power-law graphs with tunable clustering.
 
 use gps_graph::types::{Edge, NodeId};
-use gps_graph::{AdjacencyBackend, BackendKind};
+use gps_graph::CompactAdjacency;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -14,37 +14,15 @@ use rand::{Rng, SeedableRng};
 /// (ca-hollywood-2009 α≈0.31, socfb-* α≈0.10): `triad_p` directly dials the
 /// global clustering coefficient while keeping the BA degree tail.
 ///
-/// The growing graph lives on the compact adjacency backend — the same
+/// The growing graph lives on a [`CompactAdjacency`] — the same
 /// substrate as the samplers it feeds: the triad step's uniform-neighbor
 /// draw is O(1) slice indexing, and duplicate suppression is answered by
 /// the adjacency's own membership check on insert (no separate hash-set
-/// accumulator; the dedup predicate is identical, so seeded outputs are
-/// unchanged). Use [`holme_kim_with_backend`] to run on the nested-hash
-/// oracle instead.
+/// accumulator). Output is fully deterministic in the seed.
 ///
 /// # Panics
 /// Panics if `n <= m_per_node`, `m_per_node == 0`, or `triad_p ∉ [0, 1]`.
 pub fn holme_kim(n: NodeId, m_per_node: usize, triad_p: f64, seed: u64) -> Vec<Edge> {
-    holme_kim_with_backend(n, m_per_node, triad_p, seed, BackendKind::Compact)
-}
-
-/// [`holme_kim`] on an explicit adjacency backend.
-///
-/// The two backends realize the *same* random-graph model (each triad step
-/// picks a uniform neighbor of the anchor), but their neighbor orders
-/// differ, so a given seed yields a different — equally distributed —
-/// concrete graph per backend. Within one backend, output is fully
-/// deterministic in the seed.
-///
-/// # Panics
-/// Same conditions as [`holme_kim`].
-pub fn holme_kim_with_backend(
-    n: NodeId,
-    m_per_node: usize,
-    triad_p: f64,
-    seed: u64,
-    backend: BackendKind,
-) -> Vec<Edge> {
     assert!(m_per_node >= 1);
     assert!(
         (n as usize) > m_per_node,
@@ -58,8 +36,8 @@ pub fn holme_kim_with_backend(
     let m0 = m_per_node + 1;
     let expected_edges = m0 * (m0 - 1) / 2 + (n as usize - m0) * m_per_node;
     let mut edges: Vec<Edge> = Vec::with_capacity(expected_edges);
-    let mut graph: AdjacencyBackend<()> =
-        AdjacencyBackend::with_capacity(backend, n as usize, expected_edges);
+    let mut graph: CompactAdjacency<()> =
+        CompactAdjacency::with_capacity(n as usize, expected_edges);
     let mut stubs: Vec<NodeId> = Vec::with_capacity(expected_edges * 2);
 
     // Dedup against the growing adjacency itself (ROADMAP generator-speed
@@ -68,7 +46,7 @@ pub fn holme_kim_with_backend(
     // generators use. The membership predicate is identical, so seeded
     // outputs are unchanged.
     let add = |edges: &mut Vec<Edge>,
-               graph: &mut AdjacencyBackend<()>,
+               graph: &mut CompactAdjacency<()>,
                stubs: &mut Vec<NodeId>,
                e: Edge|
      -> bool {
@@ -170,36 +148,5 @@ mod tests {
     fn deterministic_in_seed() {
         assert_eq!(holme_kim(500, 2, 0.5, 1), holme_kim(500, 2, 0.5, 1));
         assert_ne!(holme_kim(500, 2, 0.5, 1), holme_kim(500, 2, 0.5, 2));
-    }
-
-    #[test]
-    fn default_backend_is_compact() {
-        assert_eq!(
-            holme_kim(400, 3, 0.5, 9),
-            holme_kim_with_backend(400, 3, 0.5, 9, gps_graph::BackendKind::Compact),
-        );
-    }
-
-    #[test]
-    fn both_backends_realize_the_same_model() {
-        // Backends differ in neighbor order, so concrete seeded outputs
-        // differ — but each is a valid simple graph of nominal size with
-        // comparable clustering (the model parameter being exercised).
-        let nominal = 6 + 1997 * 3;
-        let mut clustering = vec![];
-        for kind in [
-            gps_graph::BackendKind::Compact,
-            gps_graph::BackendKind::HashMap,
-        ] {
-            let edges = holme_kim_with_backend(2000, 3, 0.7, 5, kind);
-            assert_simple(&edges);
-            assert!(edges.len() >= nominal * 95 / 100);
-            clustering.push(exact::global_clustering(&CsrGraph::from_edges(&edges)));
-        }
-        let (a, b) = (clustering[0], clustering[1]);
-        assert!(
-            (a - b).abs() / a.max(b) < 0.25,
-            "clustering should agree across backends: {a} vs {b}"
-        );
     }
 }

@@ -23,13 +23,13 @@ pub use ba::barabasi_albert;
 pub use chung_lu::chung_lu;
 pub use cliques::collaboration;
 pub use er::erdos_renyi;
-pub use holme_kim::{holme_kim, holme_kim_with_backend};
+pub use holme_kim::holme_kim;
 pub use lattice::grid;
 pub use rmat::{rmat, RmatParams};
 pub use ws::watts_strogatz;
 
 use gps_graph::types::Edge;
-use gps_graph::{AdjacencyBackend, BackendKind};
+use gps_graph::CompactAdjacency;
 
 /// Deduplicating edge accumulator shared by the generators.
 ///
@@ -42,7 +42,7 @@ use gps_graph::{AdjacencyBackend, BackendKind};
 /// need topology (degree-indexed draws, membership under rewiring) get it
 /// from the same structure for free.
 pub(crate) struct EdgeAccumulator {
-    seen: AdjacencyBackend<()>,
+    seen: CompactAdjacency<()>,
     edges: Vec<Edge>,
 }
 
@@ -51,8 +51,8 @@ impl EdgeAccumulator {
         EdgeAccumulator {
             // Node-count hint: a simple graph of m edges touches at most 2m
             // nodes, but generators cluster far below that; m avoids
-            // over-reserving while the backend grows on demand.
-            seen: AdjacencyBackend::with_capacity(BackendKind::Compact, m, m),
+            // over-reserving while the adjacency grows on demand.
+            seen: CompactAdjacency::with_capacity(m, m),
             edges: Vec::with_capacity(m),
         }
     }

@@ -37,11 +37,8 @@ pub fn watts_strogatz(n: NodeId, k: usize, beta: f64, seed: u64) -> Vec<Edge> {
     // rewiring is answered by an adjacency over the current edge set (same
     // substrate as the other generators' dedup; identical predicate, so
     // seeded outputs are unchanged).
-    let mut seen: gps_graph::AdjacencyBackend<()> = gps_graph::AdjacencyBackend::with_capacity(
-        gps_graph::BackendKind::Compact,
-        n as usize,
-        edges.len(),
-    );
+    let mut seen: gps_graph::CompactAdjacency<()> =
+        gps_graph::CompactAdjacency::with_capacity(n as usize, edges.len());
     for &e in &edges {
         seen.insert(e, ());
     }
