@@ -116,8 +116,8 @@ impl JhaWedgeSampler {
             }
         }
         // Canonical order: the uniform index draw below selects a wedge
-        // independently of neighbor-list layout (inline lists are in
-        // arrival order, spilled ones id-sorted).
+        // independently of neighbor-list order (short lists are in
+        // arrival order, long ones id-sorted).
         self.new_wedges.sort_unstable();
         self.store.insert(edge);
         self.tot_wedges += self.new_wedges.len() as u64;

@@ -23,9 +23,28 @@ use crate::slab::SlotId;
 use crate::weights::EdgeWeight;
 use gps_graph::types::Edge;
 
+/// The five global Algorithm-3 accumulators: triangle and wedge counts,
+/// their variances, and the triangle–wedge covariance. The per-edge
+/// covariance accumulators live in the sampler's own records, so a
+/// sampler plus these totals is an estimator's complete state
+/// ([`InStreamEstimator::into_parts`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct InStreamTotals {
+    /// Triangle count accumulator `Ñ(△)`.
+    pub n_tri: f64,
+    /// Triangle variance accumulator `Ṽ(△)`.
+    pub v_tri: f64,
+    /// Wedge count accumulator `Ñ(Λ)`.
+    pub n_wedge: f64,
+    /// Wedge variance accumulator `Ṽ(Λ)`.
+    pub v_wedge: f64,
+    /// Triangle–wedge covariance accumulator `Ṽ(△,Λ)`.
+    pub tri_wedge_cov: f64,
+}
+
 /// Portable snapshot of every Algorithm-3 accumulator an
-/// [`InStreamEstimator`] carries beyond its sampler: the five global
-/// count/variance accumulators plus the per-sampled-edge covariance
+/// [`InStreamEstimator`] carries beyond its sampler's sample: the five
+/// global [`InStreamTotals`] plus the per-sampled-edge covariance
 /// accumulators `C̃_k(△), C̃_k(Λ)` (paper Alg 3 lines 39–40).
 ///
 /// Together with the sampler's own persisted state this makes a resumed
@@ -37,16 +56,8 @@ use gps_graph::types::Edge;
 /// state on disk.
 #[derive(Clone, Debug, PartialEq)]
 pub struct InStreamState {
-    /// Triangle count accumulator `Ñ(△)`.
-    pub n_tri: f64,
-    /// Triangle variance accumulator `Ṽ(△)`.
-    pub v_tri: f64,
-    /// Wedge count accumulator `Ñ(Λ)`.
-    pub n_wedge: f64,
-    /// Wedge variance accumulator `Ṽ(Λ)`.
-    pub v_wedge: f64,
-    /// Triangle–wedge covariance accumulator `Ṽ(△,Λ)`.
-    pub tri_wedge_cov: f64,
+    /// The five global accumulators.
+    pub totals: InStreamTotals,
     /// Per sampled edge `(C̃_k(△), C̃_k(Λ))`, parallel to the
     /// [`GpsSampler::edges`] iteration order of the sampler the state was
     /// exported from.
@@ -57,12 +68,18 @@ impl InStreamState {
     /// The state of a fresh estimator over an empty sampler.
     pub fn empty() -> Self {
         InStreamState {
-            n_tri: 0.0,
-            v_tri: 0.0,
-            n_wedge: 0.0,
-            v_wedge: 0.0,
-            tri_wedge_cov: 0.0,
+            totals: InStreamTotals::default(),
             per_edge: Vec::new(),
+        }
+    }
+
+    /// The full state of an estimator that [`InStreamEstimator::into_parts`]
+    /// split into `sampler` and `totals`: the per-edge accumulators are read
+    /// back from the sampler's records.
+    pub fn of<W: EdgeWeight>(sampler: &GpsSampler<W>, totals: InStreamTotals) -> Self {
+        InStreamState {
+            totals,
+            per_edge: sampler.covariances().collect(),
         }
     }
 }
@@ -71,11 +88,7 @@ impl InStreamState {
 /// accumulators (paper Algorithm 3).
 pub struct InStreamEstimator<W> {
     sampler: GpsSampler<W>,
-    n_tri: f64,
-    v_tri: f64,
-    n_wedge: f64,
-    v_wedge: f64,
-    tri_wedge_cov: f64,
+    acc: InStreamTotals,
     /// Scratch: slots of (k1, k2) per triangle completed by the arrival.
     tri_buf: Vec<(SlotId, SlotId)>,
     /// Scratch: slots of sampled edges adjacent to the arrival.
@@ -92,11 +105,7 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
     pub fn new(capacity: usize, weight_fn: W, seed: u64) -> Self {
         InStreamEstimator {
             sampler: GpsSampler::new(capacity, weight_fn, seed),
-            n_tri: 0.0,
-            v_tri: 0.0,
-            n_wedge: 0.0,
-            v_wedge: 0.0,
-            tri_wedge_cov: 0.0,
+            acc: InStreamTotals::default(),
             tri_buf: Vec::new(),
             wedge_buf: Vec::new(),
         }
@@ -123,11 +132,13 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
         let seeded = crate::post_stream::estimate(&sampler);
         InStreamEstimator {
             sampler,
-            n_tri: seeded.triangles.value,
-            v_tri: seeded.triangles.variance,
-            n_wedge: seeded.wedges.value,
-            v_wedge: seeded.wedges.variance,
-            tri_wedge_cov: seeded.tri_wedge_cov,
+            acc: InStreamTotals {
+                n_tri: seeded.triangles.value,
+                v_tri: seeded.triangles.variance,
+                n_wedge: seeded.wedges.value,
+                v_wedge: seeded.wedges.variance,
+                tri_wedge_cov: seeded.tri_wedge_cov,
+            },
             tri_buf: Vec::new(),
             wedge_buf: Vec::new(),
         }
@@ -143,27 +154,22 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
     /// sampler's persisted sample (the `gps-sample v2` section does both)
     /// and [`InStreamEstimator::resume`] for an exact handover.
     pub fn export_state(&self) -> InStreamState {
-        InStreamState {
-            n_tri: self.n_tri,
-            v_tri: self.v_tri,
-            n_wedge: self.n_wedge,
-            v_wedge: self.v_wedge,
-            tri_wedge_cov: self.tri_wedge_cov,
-            per_edge: self
-                .sampler
-                .slab()
-                .iter()
-                .map(|(_, r)| (r.cov_tri, r.cov_wedge))
-                .collect(),
-        }
+        InStreamState::of(&self.sampler, self.acc)
     }
 
-    /// Consumes the estimator, returning the sampler and the exported
-    /// accumulator state in one move (the engine's checkpoint/`finish`
-    /// paths use this to hand both halves over without cloning).
-    pub fn into_parts(self) -> (GpsSampler<W>, InStreamState) {
-        let state = self.export_state();
-        (self.sampler, state)
+    /// The five global accumulators (the per-edge ones stay in the
+    /// sampler's records).
+    #[inline]
+    pub fn totals(&self) -> InStreamTotals {
+        self.acc
+    }
+
+    /// Consumes the estimator, returning the sampler — whose records keep
+    /// the per-edge covariance accumulators — and the global totals, with
+    /// no copy of the per-edge state. [`InStreamState::of`] rebuilds the
+    /// full state from the two halves.
+    pub fn into_parts(self) -> (GpsSampler<W>, InStreamTotals) {
+        (self.sampler, self.acc)
     }
 
     /// Exact resume: wraps `sampler` and reinstates a previously
@@ -192,19 +198,13 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
             state.per_edge.len(),
             slab.len()
         );
-        let slots: Vec<SlotId> = slab.iter().map(|(slot, _)| slot).collect();
-        for (slot, &(cov_tri, cov_wedge)) in slots.into_iter().zip(&state.per_edge) {
-            let record = slab.get_mut(slot);
+        for (record, &(cov_tri, cov_wedge)) in slab.records_mut().iter_mut().zip(&state.per_edge) {
             record.cov_tri = cov_tri;
             record.cov_wedge = cov_wedge;
         }
         InStreamEstimator {
             sampler,
-            n_tri: state.n_tri,
-            v_tri: state.v_tri,
-            n_wedge: state.n_wedge,
-            v_wedge: state.v_wedge,
-            tri_wedge_cov: state.tri_wedge_cov,
+            acc: state.totals,
             tri_buf: Vec::new(),
             wedge_buf: Vec::new(),
         }
@@ -259,10 +259,10 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
             let q1 = prob(slab.get(s1).weight, z);
             let q2 = prob(slab.get(s2).weight, z);
             let inv12 = 1.0 / (q1 * q2);
-            self.n_tri += inv12;
-            self.v_tri += (inv12 - 1.0) * inv12;
-            self.v_tri += 2.0 * (slab.get(s1).cov_tri + slab.get(s2).cov_tri) * inv12;
-            self.tri_wedge_cov += (slab.get(s1).cov_wedge + slab.get(s2).cov_wedge) * inv12;
+            self.acc.n_tri += inv12;
+            self.acc.v_tri += (inv12 - 1.0) * inv12;
+            self.acc.v_tri += 2.0 * (slab.get(s1).cov_tri + slab.get(s2).cov_tri) * inv12;
+            self.acc.tri_wedge_cov += (slab.get(s1).cov_wedge + slab.get(s2).cov_wedge) * inv12;
             slab.get_mut(s1).cov_tri += (1.0 / q1 - 1.0) / q2;
             slab.get_mut(s2).cov_tri += (1.0 / q2 - 1.0) / q1;
         }
@@ -271,10 +271,10 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
         for &slot in &self.wedge_buf {
             let q = prob(slab.get(slot).weight, z);
             let inv = 1.0 / q;
-            self.n_wedge += inv;
-            self.v_wedge += inv * (inv - 1.0);
-            self.v_wedge += 2.0 * slab.get(slot).cov_wedge * inv;
-            self.tri_wedge_cov += slab.get(slot).cov_tri * inv;
+            self.acc.n_wedge += inv;
+            self.acc.v_wedge += inv * (inv - 1.0);
+            self.acc.v_wedge += 2.0 * slab.get(slot).cov_wedge * inv;
+            self.acc.tri_wedge_cov += slab.get(slot).cov_tri * inv;
             slab.get_mut(slot).cov_wedge += inv - 1.0;
         }
         // Eviction cleanup (Alg 3 lines 39–40) is automatic: the evicted
@@ -286,27 +286,27 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
     pub fn estimates(&self) -> TriadEstimates {
         TriadEstimates::from_parts(
             Estimate {
-                value: self.n_tri,
-                variance: self.v_tri,
+                value: self.acc.n_tri,
+                variance: self.acc.v_tri,
             },
             Estimate {
-                value: self.n_wedge,
-                variance: self.v_wedge,
+                value: self.acc.n_wedge,
+                variance: self.acc.v_wedge,
             },
-            self.tri_wedge_cov,
+            self.acc.tri_wedge_cov,
         )
     }
 
     /// Triangle count estimate `Ñ(△)` (cheap accessor for tracking loops).
     #[inline]
     pub fn triangle_count(&self) -> f64 {
-        self.n_tri
+        self.acc.n_tri
     }
 
     /// Wedge count estimate `Ñ(Λ)`.
     #[inline]
     pub fn wedge_count(&self) -> f64 {
-        self.n_wedge
+        self.acc.n_wedge
     }
 
     /// The underlying sampler (e.g. to run post-stream estimation on the
@@ -497,7 +497,8 @@ mod tests {
             first.sampler().threshold() > 0.0,
             "split must land after evictions started"
         );
-        let (sampler, state) = first.into_parts();
+        let (sampler, totals) = first.into_parts();
+        let state = InStreamState::of(&sampler, totals);
         let mut resumed = InStreamEstimator::resume(sampler, state);
         resumed.process_stream(edges[split..].iter().copied());
 

@@ -52,7 +52,7 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
-use crate::in_stream::{InStreamEstimator, InStreamState};
+use crate::in_stream::{InStreamEstimator, InStreamState, InStreamTotals};
 use crate::reservoir::GpsSampler;
 use crate::weights::EdgeWeight;
 use gps_graph::types::Edge;
@@ -215,31 +215,20 @@ pub fn save_estimator<W: EdgeWeight, Out: Write>(
     est: &InStreamEstimator<W>,
     writer: Out,
 ) -> Result<(), PersistError> {
-    save_with_state(est.sampler(), &est.export_state(), writer)
+    save_with_totals(est.sampler(), &est.totals(), writer)
 }
 
-/// The parts form of [`save_estimator`]: writes a sampler plus an exported
-/// [`InStreamState`] as a `gps-sample v2` section. Container formats that
-/// hold the two separately (a finished `gps-engine` snapshot keeps each
-/// shard's sampler next to its exported accumulators) write sections
-/// through this.
-///
-/// # Panics
-/// Panics if `state.per_edge` does not cover exactly the sampler's edges —
-/// a state exported from a *different* sampler would silently attach the
-/// wrong covariances otherwise.
-pub fn save_with_state<W: EdgeWeight, Out: Write>(
+/// The parts form of [`save_estimator`]: writes the two halves
+/// [`InStreamEstimator::into_parts`] returns — a sampler, whose records
+/// carry the per-edge covariance accumulators, and the global
+/// [`InStreamTotals`] — as a `gps-sample v2` section. Container formats
+/// that hold the halves separately (a finished `gps-engine` keeps each
+/// shard's sampler next to its totals) write sections through this.
+pub fn save_with_totals<W: EdgeWeight, Out: Write>(
     sampler: &GpsSampler<W>,
-    state: &InStreamState,
+    totals: &InStreamTotals,
     writer: Out,
 ) -> Result<(), PersistError> {
-    assert_eq!(
-        state.per_edge.len(),
-        sampler.len(),
-        "in-stream state covers {} edges but the sampler holds {}",
-        state.per_edge.len(),
-        sampler.len()
-    );
     let mut w = BufWriter::new(writer);
     writeln!(w, "{MAGIC_V2}")?;
     writeln!(w, "capacity {}", sampler.capacity())?;
@@ -248,10 +237,10 @@ pub fn save_with_state<W: EdgeWeight, Out: Write>(
     writeln!(
         w,
         "acc {} {} {} {} {}",
-        state.n_tri, state.v_tri, state.n_wedge, state.v_wedge, state.tri_wedge_cov
+        totals.n_tri, totals.v_tri, totals.n_wedge, totals.v_wedge, totals.tri_wedge_cov
     )?;
     writeln!(w, "edges {}", sampler.len())?;
-    for (se, (cov_tri, cov_wedge)) in sampler.edges().zip(&state.per_edge) {
+    for (se, (cov_tri, cov_wedge)) in sampler.edges().zip(sampler.covariances()) {
         writeln!(
             w,
             "{} {} {} {} {} {}",
@@ -458,11 +447,13 @@ pub fn load_section<R: BufRead>(r: &mut R) -> Result<SavedSample, PersistError> 
     }
     let in_stream = acc.map(
         |[n_tri, v_tri, n_wedge, v_wedge, tri_wedge_cov]| InStreamState {
-            n_tri,
-            v_tri,
-            n_wedge,
-            v_wedge,
-            tri_wedge_cov,
+            totals: InStreamTotals {
+                n_tri,
+                v_tri,
+                n_wedge,
+                v_wedge,
+                tri_wedge_cov,
+            },
             per_edge,
         },
     );

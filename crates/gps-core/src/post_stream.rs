@@ -124,14 +124,14 @@ fn edge_contribution(view: &SampleView<'_>, record: &EdgeRecord) -> Contribution
 pub fn estimate<W: EdgeWeight>(sampler: &GpsSampler<W>) -> TriadEstimates {
     let view = sampler.view();
     let mut total = Contribution::default();
-    for (_, record) in view.records() {
+    for record in view.records() {
         total.merge(&edge_contribution(&view, record));
     }
     total.into_estimates()
 }
 
-/// Runs Algorithm 2 with `threads` workers over slot-range chunks
-/// (the paper notes Alg 2 "already has abundant parallelism").
+/// Runs Algorithm 2 with `threads` workers over contiguous slot-range
+/// chunks (the paper notes Alg 2 "already has abundant parallelism").
 ///
 /// Results are identical to [`estimate`] up to floating-point summation
 /// order. Falls back to the serial path for `threads <= 1` or tiny samples.
@@ -139,24 +139,19 @@ pub fn estimate_with_threads<W: EdgeWeight>(
     sampler: &GpsSampler<W>,
     threads: usize,
 ) -> TriadEstimates {
-    let view = sampler.view();
-    let upper = view.slab().slot_upper_bound();
-    if threads <= 1 || upper < 1024 {
+    let records = sampler.view().records();
+    if threads <= 1 || records.len() < 1024 {
         return estimate(sampler);
     }
-    let chunk = upper.div_ceil(threads);
+    let chunk = records.len().div_ceil(threads);
     let mut partials = vec![Contribution::default(); threads];
     std::thread::scope(|scope| {
-        for (i, partial) in partials.iter_mut().enumerate() {
+        for (part, partial) in records.chunks(chunk).zip(partials.iter_mut()) {
             let view = sampler.view();
             scope.spawn(move || {
-                let lo = i * chunk;
-                let hi = ((i + 1) * chunk).min(upper);
                 let mut acc = Contribution::default();
-                for slot in lo..hi {
-                    if let Some(record) = view.slab().get_if_live(slot as u32) {
-                        acc.merge(&edge_contribution(&view, record));
-                    }
+                for record in part {
+                    acc.merge(&edge_contribution(&view, record));
                 }
                 *partial = acc;
             });
@@ -175,7 +170,7 @@ pub fn estimate_counts<W: EdgeWeight>(sampler: &GpsSampler<W>) -> (f64, f64) {
     let view = sampler.view();
     let z = view.threshold();
     let (mut tri, mut wedge) = (0.0f64, 0.0f64);
-    for (_, record) in view.records() {
+    for record in view.records() {
         let (v1, v2) = record.edge.endpoints();
         let qi = 1.0 / prob(record.weight, z);
         let (mut tri_k, mut wedge_k) = (0.0, 0.0);

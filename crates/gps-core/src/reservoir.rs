@@ -204,7 +204,7 @@ impl<'a> SampleView<'a> {
     /// scan the reservoir (e.g. the space-lean O(m)-rescan alternative the
     /// paper discusses in §3.2 S4).
     pub fn sampled_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.slab.iter().map(|(_, r)| r.edge)
+        self.slab.records().iter().map(|r| r.edge)
     }
 
     /// Calls `f(w)` for each sampled common neighbor `w` of `u` and `v` —
@@ -226,15 +226,11 @@ impl<'a> SampleView<'a> {
         self.slab.get(slot)
     }
 
-    /// Iterates `(slot, record)` pairs of all sampled edges.
-    pub(crate) fn records(&self) -> impl Iterator<Item = (SlotId, &EdgeRecord)> + '_ {
-        self.slab.iter()
-    }
-
-    /// Underlying slab (parallel estimator chunking).
+    /// Every sampled edge's record, in slot order (a contiguous slice, so
+    /// the parallel estimator chunks it directly).
     #[inline]
-    pub(crate) fn slab(&self) -> &Slab {
-        self.slab
+    pub(crate) fn records(&self) -> &'a [EdgeRecord] {
+        self.slab.records()
     }
 }
 
@@ -308,8 +304,8 @@ impl<W: EdgeWeight> GpsSampler<W> {
         GpsSampler {
             capacity,
             weight_fn,
-            slab: Slab::with_capacity(capacity + 1),
-            heap: MinHeap::with_capacity(capacity + 1),
+            slab: Slab::with_capacity(capacity),
+            heap: MinHeap::with_capacity(capacity),
             adj: Self::sized_adjacency(capacity),
             z_star: 0.0,
             rng: SmallRng::seed_from_u64(seed),
@@ -344,10 +340,11 @@ impl<W: EdgeWeight> GpsSampler<W> {
         Self::new(capacity, weight_fn, seed)
     }
 
-    /// Adjacency pre-sized like the slab and heap: the reservoir holds at
-    /// most `capacity + 1` edges at once (the provisional insert), hence at
-    /// most `2 * (capacity + 1)` incident nodes — sizing for that up front
-    /// kills rehash churn during reservoir fill.
+    /// Adjacency pre-sized for the most it ever holds: `capacity + 1`
+    /// edges, because a replacement inserts the arriving edge before it
+    /// removes the evicted one (the slab and heap never exceed `capacity`),
+    /// hence at most `2 * (capacity + 1)` incident nodes — sizing for that
+    /// up front kills rehash churn during reservoir fill.
     fn sized_adjacency(capacity: usize) -> CompactAdjacency<SlotId> {
         CompactAdjacency::with_capacity(2 * (capacity + 1), capacity + 1)
     }
@@ -386,8 +383,8 @@ impl<W: EdgeWeight> GpsSampler<W> {
         let mut sampler = GpsSampler {
             capacity,
             weight_fn,
-            slab: Slab::with_capacity(capacity + 1),
-            heap: MinHeap::with_capacity(capacity + 1),
+            slab: Slab::with_capacity(capacity),
+            heap: MinHeap::with_capacity(capacity),
             adj: Self::sized_adjacency(capacity),
             z_star: threshold,
             rng: SmallRng::seed_from_u64(seed),
@@ -406,7 +403,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
                 !sampler.adj.contains(edge),
                 "duplicate edge {edge} in restored sample"
             );
-            let slot = sampler.slab.insert(EdgeRecord::new(edge, weight, priority));
+            let slot = sampler.slab.push(EdgeRecord::new(edge, weight, priority));
             let (_, hints) = sampler.adj.insert_with_hints(edge, slot);
             sampler.slab.get_mut(slot).hints = hints;
             sampler.heap.push(HeapEntry { priority, slot });
@@ -446,7 +443,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
         let priority = weight / u;
 
         if self.slab.len() < self.capacity {
-            let slot = self.slab.insert(EdgeRecord::new(edge, weight, priority));
+            let slot = self.slab.push(EdgeRecord::new(edge, weight, priority));
             let (_, hints) = self.adj.insert_with_hints(edge, slot);
             self.slab.get_mut(slot).hints = hints;
             self.heap.push(HeapEntry { priority, slot });
@@ -462,15 +459,20 @@ impl<W: EdgeWeight> GpsSampler<W> {
             self.rejections += 1;
             return Arrival::Rejected { weight };
         }
-        let slot = self.slab.insert(EdgeRecord::new(edge, weight, priority));
+        // The arriving edge takes over the evicted edge's slot. The
+        // adjacency still gains the new edge before it loses the old one
+        // (both entries briefly carry the same slot; removal goes by edge).
+        let slot = current_min.slot;
         let (_, hints) = self.adj.insert_with_hints(edge, slot);
-        self.slab.get_mut(slot).hints = hints;
-        let evicted_entry = self
-            .heap
-            .replace_min(HeapEntry { priority, slot })
-            .expect("full reservoir has a minimum");
-        self.z_star = self.z_star.max(evicted_entry.priority);
-        let evicted_record = self.slab.remove(evicted_entry.slot);
+        self.heap.replace_min(HeapEntry { priority, slot });
+        self.z_star = self.z_star.max(current_min.priority);
+        let evicted_record = std::mem::replace(
+            self.slab.get_mut(slot),
+            EdgeRecord {
+                hints,
+                ..EdgeRecord::new(edge, weight, priority)
+            },
+        );
         self.adj
             .remove_hinted(evicted_record.edge, evicted_record.hints);
         self.inserts += 1;
@@ -569,7 +571,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
     /// Iterates the sampled edges with their weights, priorities and current
     /// inclusion probabilities.
     pub fn edges(&self) -> impl Iterator<Item = SampledEdge> + '_ {
-        self.slab.iter().map(move |(_, r)| SampledEdge {
+        self.slab.records().iter().map(move |r| SampledEdge {
             edge: r.edge,
             weight: r.weight,
             priority: r.priority,
@@ -619,10 +621,11 @@ impl<W: EdgeWeight> GpsSampler<W> {
         (&mut self.slab, self.z_star)
     }
 
-    /// Read-only slab: in-stream state export walks the per-edge covariance
-    /// accumulators in the same slot order as [`GpsSampler::edges`].
-    pub(crate) fn slab(&self) -> &Slab {
-        &self.slab
+    /// Per-edge covariance accumulators `(C̃_k(△), C̃_k(Λ))`, in the same
+    /// slot order as [`GpsSampler::edges`] (all zero unless an
+    /// [`crate::InStreamEstimator`] drove this sampler).
+    pub(crate) fn covariances(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        self.slab.records().iter().map(|r| (r.cov_tri, r.cov_wedge))
     }
 }
 

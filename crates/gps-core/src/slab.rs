@@ -2,8 +2,10 @@
 //!
 //! The reservoir stores per-edge state (edge, weight, priority, and the
 //! in-stream covariance accumulators `C̃_k(△)`, `C̃_k(Λ)` of paper
-//! Algorithm 3) in a slab: a flat `Vec` with an internal free list, so slots
-//! are reused across evictions, ids stay dense `u32`s, and per-arrival work
+//! Algorithm 3) in a slab: a dense `Vec` of 48-byte records, one per
+//! sampled edge. Slots fill in arrival order up to the capacity `m`; from
+//! then on an admitted edge overwrites the slot of the edge it evicts, so
+//! there is no free list, slot ids stay dense `u32`s, and per-arrival work
 //! allocates nothing.
 
 use gps_graph::types::Edge;
@@ -46,23 +48,12 @@ impl EdgeRecord {
     }
 }
 
-enum Slot {
-    Occupied(EdgeRecord),
-    Free { next: Option<SlotId> },
-}
+const _: () = assert!(std::mem::size_of::<EdgeRecord>() == 48);
 
-/// Slab of [`EdgeRecord`]s with slot reuse.
+/// Dense slab of [`EdgeRecord`]s: slot `s` is the `s`-th record.
 #[derive(Default)]
 pub struct Slab {
-    slots: Vec<Slot>,
-    free_head: Option<SlotId>,
-    live: usize,
-}
-
-impl Default for Slot {
-    fn default() -> Self {
-        Slot::Free { next: None }
-    }
+    records: Vec<EdgeRecord>,
 }
 
 impl Slab {
@@ -71,115 +62,59 @@ impl Slab {
         Self::default()
     }
 
-    /// Empty slab with pre-allocated capacity.
+    /// Empty slab with room for `capacity` records.
     pub fn with_capacity(capacity: usize) -> Self {
         Slab {
-            slots: Vec::with_capacity(capacity),
-            free_head: None,
-            live: 0,
+            records: Vec::with_capacity(capacity),
         }
     }
 
-    /// Number of live records.
+    /// Number of records.
     #[inline]
     pub fn len(&self) -> usize {
-        self.live
+        self.records.len()
     }
 
-    /// True if no records are live.
+    /// True if no records are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.records.is_empty()
     }
 
-    /// Stores a record, returning its slot.
-    pub fn insert(&mut self, record: EdgeRecord) -> SlotId {
-        self.live += 1;
-        match self.free_head {
-            Some(id) => {
-                let next = match self.slots[id as usize] {
-                    Slot::Free { next } => next,
-                    Slot::Occupied(_) => unreachable!("free list points at occupied slot"),
-                };
-                self.free_head = next;
-                self.slots[id as usize] = Slot::Occupied(record);
-                id
-            }
-            None => {
-                let id = self.slots.len() as SlotId;
-                self.slots.push(Slot::Occupied(record));
-                id
-            }
-        }
+    /// Stores a record in the next slot, returning that slot.
+    pub fn push(&mut self, record: EdgeRecord) -> SlotId {
+        self.records.push(record);
+        (self.records.len() - 1) as SlotId
     }
 
-    /// Removes and returns the record in `slot`.
+    /// Shared access to the record in `slot`.
     ///
     /// # Panics
-    /// Panics if the slot is free (a logic error in the sampler).
-    pub fn remove(&mut self, slot: SlotId) -> EdgeRecord {
-        let cell = &mut self.slots[slot as usize];
-        match std::mem::replace(
-            cell,
-            Slot::Free {
-                next: self.free_head,
-            },
-        ) {
-            Slot::Occupied(record) => {
-                self.free_head = Some(slot);
-                self.live -= 1;
-                record
-            }
-            Slot::Free { .. } => panic!("remove() on free slot {slot}"),
-        }
-    }
-
-    /// Shared access to a live record.
-    ///
-    /// # Panics
-    /// Panics if the slot is free.
+    /// Panics if `slot` is out of range (a logic error in the sampler).
     #[inline]
     pub fn get(&self, slot: SlotId) -> &EdgeRecord {
-        match &self.slots[slot as usize] {
-            Slot::Occupied(r) => r,
-            Slot::Free { .. } => panic!("get() on free slot {slot}"),
-        }
+        &self.records[slot as usize]
     }
 
-    /// Mutable access to a live record.
+    /// Mutable access to the record in `slot`.
     ///
     /// # Panics
-    /// Panics if the slot is free.
+    /// Panics if `slot` is out of range.
     #[inline]
     pub fn get_mut(&mut self, slot: SlotId) -> &mut EdgeRecord {
-        match &mut self.slots[slot as usize] {
-            Slot::Occupied(r) => r,
-            Slot::Free { .. } => panic!("get_mut() on free slot {slot}"),
-        }
+        &mut self.records[slot as usize]
     }
 
-    /// Iterates `(slot, record)` over live records in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotId, &EdgeRecord)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Occupied(r) => Some((i as SlotId, r)),
-            Slot::Free { .. } => None,
-        })
-    }
-
-    /// Total slots ever allocated (live + free); the parallel estimator
-    /// chunks over this range.
+    /// Every record, in slot order.
     #[inline]
-    pub fn slot_upper_bound(&self) -> usize {
-        self.slots.len()
+    pub fn records(&self) -> &[EdgeRecord] {
+        &self.records
     }
 
-    /// Record in `slot` if live (non-panicking variant for chunked scans).
+    /// Every record, mutably, in slot order.
     #[inline]
-    pub fn get_if_live(&self, slot: SlotId) -> Option<&EdgeRecord> {
-        match self.slots.get(slot as usize) {
-            Some(Slot::Occupied(r)) => Some(r),
-            _ => None,
-        }
+    pub fn records_mut(&mut self) -> &mut [EdgeRecord] {
+        &mut self.records
     }
 }
 
@@ -192,48 +127,37 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove_round_trip() {
+    fn push_get_overwrite_round_trip() {
         let mut s = Slab::new();
-        let id = s.insert(rec(1, 2, 3.0));
+        let id = s.push(rec(1, 2, 3.0));
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(id).edge, Edge::new(1, 2));
         assert_eq!(s.get(id).weight, 3.0);
-        let r = s.remove(id);
-        assert_eq!(r.edge, Edge::new(1, 2));
+        // An admitted edge takes over its evictee's slot in place.
+        let old = std::mem::replace(s.get_mut(id), rec(4, 5, 1.0));
+        assert_eq!(old.edge, Edge::new(1, 2));
+        assert_eq!(s.get(id).edge, Edge::new(4, 5));
+        assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn records_are_dense_in_slot_order() {
+        let mut s = Slab::with_capacity(3);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn slots_are_reused_lifo() {
-        let mut s = Slab::new();
-        let a = s.insert(rec(0, 1, 1.0));
-        let b = s.insert(rec(0, 2, 1.0));
-        s.remove(a);
-        s.remove(b);
-        // Free list is LIFO: b then a.
-        assert_eq!(s.insert(rec(0, 3, 1.0)), b);
-        assert_eq!(s.insert(rec(0, 4, 1.0)), a);
-        assert_eq!(s.slot_upper_bound(), 2, "no growth when reusing");
-    }
-
-    #[test]
-    fn iter_skips_free_slots() {
-        let mut s = Slab::new();
-        let _a = s.insert(rec(0, 1, 1.0));
-        let b = s.insert(rec(0, 2, 2.0));
-        let _c = s.insert(rec(0, 3, 3.0));
-        s.remove(b);
-        let live: Vec<Edge> = s.iter().map(|(_, r)| r.edge).collect();
-        assert_eq!(live, vec![Edge::new(0, 1), Edge::new(0, 3)]);
-        assert_eq!(s.get_if_live(b), None);
-        assert!(s.get_if_live(0).is_some());
-        assert_eq!(s.get_if_live(999), None);
+        for (i, b) in [1, 2, 3].into_iter().enumerate() {
+            assert_eq!(s.push(rec(0, b, 1.0)), i as SlotId);
+        }
+        let edges: Vec<Edge> = s.records().iter().map(|r| r.edge).collect();
+        assert_eq!(
+            edges,
+            vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(0, 3)]
+        );
     }
 
     #[test]
     fn mutation_via_get_mut_persists() {
         let mut s = Slab::new();
-        let id = s.insert(rec(4, 5, 2.0));
+        let id = s.push(rec(4, 5, 2.0));
         s.get_mut(id).cov_tri += 1.5;
         s.get_mut(id).cov_wedge += 0.5;
         assert_eq!(s.get(id).cov_tri, 1.5);
@@ -241,20 +165,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "free slot")]
-    fn get_on_free_slot_panics() {
+    #[should_panic(expected = "out of bounds")]
+    fn get_past_len_panics() {
         let mut s = Slab::new();
-        let id = s.insert(rec(1, 2, 1.0));
-        s.remove(id);
-        let _ = s.get(id);
-    }
-
-    #[test]
-    #[should_panic(expected = "free slot")]
-    fn double_remove_panics() {
-        let mut s = Slab::new();
-        let id = s.insert(rec(1, 2, 1.0));
-        s.remove(id);
-        s.remove(id);
+        s.push(rec(1, 2, 1.0));
+        let _ = s.get(1);
     }
 }

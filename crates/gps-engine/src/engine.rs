@@ -40,7 +40,7 @@
 use crate::fault::FaultPlan;
 use crate::partition::{shard_seed, EdgePartitioner};
 use gps_core::weights::EdgeWeight;
-use gps_core::{post_stream, GpsSampler, InStreamState, TriadEstimates};
+use gps_core::{post_stream, GpsSampler, InStreamState, InStreamTotals, TriadEstimates};
 use gps_graph::types::Edge;
 use gps_graph::BackendKind;
 use gps_telemetry::{
@@ -271,11 +271,11 @@ pub(crate) enum WorkerMode {
 }
 
 /// What `snapshot` reads off a finished engine: config, per-shard
-/// samplers, per-shard in-stream states, and the stream position.
+/// samplers, per-shard in-stream totals, and the stream position.
 pub(crate) type EngineParts<'a, W> = (
     &'a EngineConfig,
     &'a [GpsSampler<W>],
-    &'a [Option<InStreamState>],
+    &'a [Option<InStreamTotals>],
     u64,
 );
 
@@ -578,7 +578,7 @@ struct Worker {
 struct Collected<W> {
     sampler: GpsSampler<W>,
     finals: Option<TriadEstimates>,
-    state: Option<InStreamState>,
+    state: Option<InStreamTotals>,
 }
 
 /// Sharded `GPS(m)`: `S` independent reservoirs over a hash-partitioned
@@ -635,9 +635,11 @@ pub struct ShardedGps<W> {
     samplers: Vec<GpsSampler<W>>,
     /// Per-shard final in-stream estimates (estimating mode, post-finish).
     in_finals: Vec<Option<TriadEstimates>>,
-    /// Per-shard final in-stream accumulator state (estimating mode,
-    /// post-finish) — what `save` writes as `gps-sample v2` sections.
-    in_states: Vec<Option<InStreamState>>,
+    /// Per-shard final in-stream totals (estimating mode, post-finish).
+    /// With the samplers' records, which hold the per-edge covariance
+    /// accumulators, they are what `save` writes as `gps-sample v2`
+    /// sections.
+    in_states: Vec<Option<InStreamTotals>>,
     pushed: u64,
     /// Runtime metric handles (the registry lives behind
     /// [`ShardedGps::telemetry_registry`]).
@@ -1531,7 +1533,7 @@ impl<W: EdgeWeight> ShardedGps<W> {
     }
 
     /// Restore-path internals for `snapshot`: the config, collected
-    /// samplers and in-stream states of a finished engine.
+    /// samplers and in-stream totals of a finished engine.
     pub(crate) fn parts(&self) -> EngineParts<'_, W> {
         (&self.cfg, &self.samplers, &self.in_states, self.pushed)
     }

@@ -27,7 +27,7 @@ use crate::engine::{EpochHook, ShardReport};
 use crate::partition::{shard_seed, splitmix64};
 use gps_core::persist::{self, SavedSample};
 use gps_core::weights::EdgeWeight;
-use gps_core::{GpsSampler, InStreamEstimator, InStreamState, TriadEstimates};
+use gps_core::{GpsSampler, InStreamEstimator, InStreamState, InStreamTotals, TriadEstimates};
 use gps_graph::types::Edge;
 use gps_graph::BackendKind;
 
@@ -260,7 +260,13 @@ impl<W: EdgeWeight> ShardRunner<W> {
     }
 
     /// Final report + teardown at drain end.
-    pub fn into_parts(self) -> (GpsSampler<W>, Option<TriadEstimates>, Option<InStreamState>) {
+    pub fn into_parts(
+        self,
+    ) -> (
+        GpsSampler<W>,
+        Option<TriadEstimates>,
+        Option<InStreamTotals>,
+    ) {
         match self.inner {
             Inner::Plain(sampler) => (sampler, None, None),
             Inner::Live {
@@ -280,8 +286,8 @@ impl<W: EdgeWeight> ShardRunner<W> {
                         estimates: finals,
                     });
                 }
-                let (sampler, state) = est.into_parts();
-                (sampler, Some(finals), Some(state))
+                let (sampler, totals) = est.into_parts();
+                (sampler, Some(finals), Some(totals))
             }
         }
     }

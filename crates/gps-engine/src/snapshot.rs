@@ -221,7 +221,7 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
         let mut sections = Vec::new();
         for (sampler, state) in samplers.iter().zip(states) {
             match state {
-                Some(state) => persist::save_with_state(sampler, state, &mut sections)?,
+                Some(totals) => persist::save_with_totals(sampler, totals, &mut sections)?,
                 None => persist::save(sampler, &mut sections)?,
             }
         }

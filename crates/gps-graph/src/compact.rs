@@ -7,25 +7,32 @@
 //! and at most one insert + one eviction per arrival. Four ideas:
 //!
 //! 1. **Node interning.** External [`NodeId`]s are mapped once to dense
-//!    `u32` indices into a flat slot table holding id, degree and the first
-//!    [`INLINE_NEIGHBORS`] neighbors together, so for the typical
+//!    `u32` indices into a flat slot table holding id, a packed length word
+//!    and the first [`INLINE_NEIGHBORS`] neighbors together — 24 bytes for
+//!    the sampler's `u32` values, with no enum tag — so for the typical
 //!    low-degree node one resolution answers degree, membership and
-//!    iteration. (An open-addressed table holding the payload directly was
-//!    tried and measured *slower*: inflating the 40-byte slots across a
-//!    sparse power-of-two table costs more cache than the tiny 8-byte
-//!    id→index map saves.) Slot indices are stable for a node's lifetime —
+//!    iteration. (A reservoir sample is mostly degree-1 nodes, which is why
+//!    the inline cap is 2.) An open-addressed table holding the payload
+//!    directly was tried and measured *slower*: inflating the slots across
+//!    a sparse power-of-two table costs more cache than the tiny 8-byte
+//!    id→index map saves. Slot indices are stable for a node's lifetime —
 //!    see [`EdgeHints`].
-//! 2. **Inline small-buffers with slab spill.** Neighbor lists longer than
-//!    the inline cap spill into power-of-two blocks carved from one shared
-//!    pool `Vec`, recycled through per-size-class free lists (the free
-//!    "next" pointer lives inside the freed block itself, so the structure
-//!    allocates nothing per edge once warm). Spilled blocks are kept
-//!    sorted by neighbor id; inline lists use `swap_remove` eviction, and
-//!    lists that shrink far enough migrate back inline.
+//! 2. **Inline small-buffers with pool spill.** A list longer than the
+//!    inline cap moves to a power-of-two block carved from one shared pool
+//!    `Vec` (the block offset takes the first inline entry's place, the
+//!    size class the high bits of the length word), recycled through
+//!    per-size-class free lists (the free "next" pointer lives inside the
+//!    freed block itself, so the structure allocates nothing per edge once
+//!    warm). Neighbor order is a function of the insert/remove sequence
+//!    alone: a list keeps arrival order with `swap_remove` eviction while
+//!    it has not grown past [`SORT_AFTER`] entries since it last held at
+//!    most [`INLINE_NEIGHBORS`] — inline, then in a class-0 block — and is
+//!    kept sorted by neighbor id from then on (blocks of class ≥ 1). A list
+//!    that shrinks back to the inline cap migrates inline again.
 //! 3. **Adaptive intersection kernel.** Common-neighbor enumeration walks
 //!    the smaller list; the larger side is scanned linearly while it fits a
-//!    couple of cache lines and binary-searched (it is a sorted spill
-//!    block) past [`LINEAR_PROBE_MAX`]. The worst case is
+//!    couple of cache lines and binary-searched (it is a sorted block) past
+//!    [`LINEAR_PROBE_MAX`]. The worst case is
 //!    `O(min deg · log max deg)` contiguous probes inside the hub's own
 //!    block — no hash probes, no pointer chasing.
 //! 4. **Counting presence filter.** A power-of-two table of saturating
@@ -39,7 +46,7 @@
 //!
 //! There is **no edge hash table at all**: `contains`/`get` resolve one
 //! endpoint and search its list (the slot fetch carries the inline list;
-//! longer lists are sorted and binary-searched), and `edges()` sweeps the
+//! longer sorted lists are binary-searched), and `edges()` sweeps the
 //! slot table. The only hash in the structure is the node-interning map,
 //! gated by the filter and bypassed on eviction via [`EdgeHints`].
 //!
@@ -51,23 +58,39 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::types::{Edge, NodeId};
 
 /// Neighbor entries stored inline in a node slot before spilling.
-pub const INLINE_NEIGHBORS: usize = 4;
-
-/// A spilled list migrates back inline once its length drops to this.
-const SHRINK_TO_INLINE: usize = INLINE_NEIGHBORS / 2;
+pub const INLINE_NEIGHBORS: usize = 2;
 
 /// Smallest spill block (entries); class `c` holds `BASE_BLOCK << c`.
+/// Class 0 holds the unsorted lists of length `INLINE_NEIGHBORS + 1 ..=
+/// SORT_AFTER`; every larger class holds a sorted list.
 const BASE_BLOCK: usize = 2 * INLINE_NEIGHBORS;
+
+/// A list that grows past this many entries is sorted by neighbor id, and
+/// stays sorted until it shrinks back to [`INLINE_NEIGHBORS`]; until then
+/// it keeps arrival order with `swap_remove` eviction.
+pub const SORT_AFTER: usize = BASE_BLOCK;
 
 /// Number of spill size classes; the largest block holds
 /// `BASE_BLOCK << (NUM_CLASSES - 1)` entries (64Mi at the defaults).
-const NUM_CLASSES: usize = 24;
+const NUM_CLASSES: usize = 25;
+
+/// Low bits of [`NodeSlot::packed`] holding the list length; the size
+/// class of a spilled list sits in the bits above.
+const LEN_BITS: u32 = 27;
+const LEN_MASK: u32 = (1 << LEN_BITS) - 1;
+
+const _: () = {
+    assert!(BASE_BLOCK << (NUM_CLASSES - 1) <= LEN_MASK as usize);
+    assert!(NUM_CLASSES <= 1 << (32 - LEN_BITS));
+    // The sampler stores a `u32` slab slot per neighbor entry.
+    assert!(std::mem::size_of::<NodeSlot<u32>>() <= 24);
+};
 
 /// Empty free-list marker (pool offsets comfortably fit below it).
 const FREE_NONE: u32 = u32::MAX;
 
 /// Largest neighbor list the intersection kernel scans linearly; longer
-/// lists are binary-searched (spilled blocks are sorted).
+/// sorted lists are binary-searched.
 pub const LINEAR_PROBE_MAX: usize = 32;
 
 /// Minimum presence-filter size (counters); always a power of two.
@@ -133,25 +156,51 @@ impl Default for EdgeHints {
     }
 }
 
-/// Where a node's neighbor list currently lives.
-#[derive(Clone, Copy, Debug)]
-enum NodeStorage<V: Copy> {
-    /// Short list held directly in the slot table; `len` entries are live,
-    /// in arrival order (`swap_remove` eviction).
-    Inline([(NodeId, V); INLINE_NEIGHBORS]),
-    /// List spilled to `pool[offset .. offset + block_len(class)]`, kept
-    /// **sorted by neighbor id** so membership and the intersection kernel
-    /// binary-search the node's own contiguous block (cache-hot for hubs)
-    /// instead of hash-probing a shared table.
-    Spill { offset: u32, class: u8 },
-}
-
-/// One interned node: its external id, live length, and list storage.
+/// One interned node: its external id, a packed length word, and its first
+/// [`INLINE_NEIGHBORS`] neighbors. Once the list outgrows them it moves to
+/// `pool[offset .. offset + block_len(class)]`, with `offset` kept in the
+/// `NodeId` field of `inline[0]` and `class` in the high bits of `packed`;
+/// so a list lives inline exactly when its length is at most
+/// [`INLINE_NEIGHBORS`], and is sorted exactly when its class is ≥ 1.
 #[derive(Clone, Copy, Debug)]
 struct NodeSlot<V: Copy> {
     id: NodeId,
-    len: u32,
-    storage: NodeStorage<V>,
+    /// `len | class << LEN_BITS` (the class is 0 while inline).
+    packed: u32,
+    inline: [(NodeId, V); INLINE_NEIGHBORS],
+}
+
+impl<V: Copy> NodeSlot<V> {
+    /// Live neighbor count.
+    #[inline]
+    fn len(&self) -> usize {
+        (self.packed & LEN_MASK) as usize
+    }
+
+    /// Size class of the pool block (meaningful once spilled).
+    #[inline]
+    fn class(&self) -> u8 {
+        (self.packed >> LEN_BITS) as u8
+    }
+
+    /// Whether the list is kept sorted by neighbor id: class ≥ 1.
+    #[inline]
+    fn sorted(&self) -> bool {
+        self.packed > LEN_MASK
+    }
+
+    /// Pool offset of the list's block (meaningful once spilled).
+    #[inline]
+    fn offset(&self) -> usize {
+        self.inline[0].0 as usize
+    }
+
+    /// Records the list as `len` entries in a block of `class` at `offset`.
+    #[inline]
+    fn set_spilled(&mut self, len: usize, class: u8, offset: usize) {
+        self.packed = len as u32 | (class as u32) << LEN_BITS;
+        self.inline[0].0 = offset as NodeId;
+    }
 }
 
 /// A dynamic undirected graph storing a value of type `V` on every edge,
@@ -166,7 +215,7 @@ pub struct CompactAdjacency<V: Copy> {
     /// Interned node table; freed slots are recycled through `free_slots`.
     slots: Vec<NodeSlot<V>>,
     free_slots: Vec<u32>,
-    /// Shared spill storage for neighbor lists longer than the inline cap.
+    /// Shared block storage for neighbor lists longer than the inline cap.
     pool: Vec<(NodeId, V)>,
     /// Head of the intrusive free list per size class (offset or FREE_NONE).
     free_blocks: [u32; NUM_CLASSES],
@@ -178,8 +227,8 @@ pub struct CompactAdjacency<V: Copy> {
     /// Bitset mirror of `node_filter != 0`, 1/8th the footprint so the hot
     /// probe stays L1-resident; counters remain the ground truth.
     node_bits: Vec<u64>,
-    /// Monotone count of slow-path spill transitions (inline → pool block,
-    /// or block growth to the next size class). Survives `clear` so
+    /// Monotone count of slow-path spill transitions (inline → class-0
+    /// block, or block growth to the next size class). Survives `clear` so
     /// telemetry sees lifetime totals.
     spills: u64,
 }
@@ -305,7 +354,7 @@ impl<V: Copy> CompactAdjacency<V> {
     #[inline]
     fn resolve_hint(&self, node: NodeId, hint: u32) -> Option<u32> {
         match self.slots.get(hint as usize) {
-            Some(slot) if slot.len > 0 && slot.id == node => Some(hint),
+            Some(slot) if slot.len() > 0 && slot.id == node => Some(hint),
             _ => self.lookup(node),
         }
     }
@@ -354,7 +403,7 @@ impl<V: Copy> CompactAdjacency<V> {
     #[inline]
     pub fn degree(&self, node: NodeId) -> usize {
         match self.lookup(node) {
-            Some(idx) => self.slots[idx as usize].len as usize,
+            Some(idx) => self.slots[idx as usize].len(),
             None => 0,
         }
     }
@@ -371,11 +420,12 @@ impl<V: Copy> CompactAdjacency<V> {
     /// The `index`-th neighbor of `node` (with the value on the connecting
     /// edge), or `None` if `index >= degree(node)`. O(1) slice indexing.
     ///
-    /// Which neighbor occupies a given index is representation-defined
-    /// (inline lists are arrival-ordered, spilled ones id-sorted), so this
-    /// is only meaningful for order-oblivious uses — e.g. drawing a
-    /// *uniform* random neighbor, the triad-formation step of the
-    /// Holme–Kim generator.
+    /// Which neighbor occupies a given index follows the order rule in the
+    /// module docs (arrival order for short lists, id order past
+    /// [`SORT_AFTER`]), so this is only meaningful for order-oblivious
+    /// uses — e.g. drawing a *uniform* random neighbor, the triad-formation
+    /// step of the Holme–Kim generator. The order is still a function of
+    /// the insert/remove sequence, so seeded draws are reproducible.
     #[inline]
     pub fn neighbor_at(&self, node: NodeId, index: usize) -> Option<(NodeId, V)> {
         self.neighbor_slice(node).get(index).copied()
@@ -389,7 +439,7 @@ impl<V: Copy> CompactAdjacency<V> {
 
     /// Iterates over all nodes with at least one incident edge.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.slots.iter().filter(|s| s.len > 0).map(|s| s.id)
+        self.slots.iter().filter(|s| s.len() > 0).map(|s| s.id)
     }
 
     /// Iterates over every edge exactly once (via its smaller endpoint's
@@ -399,7 +449,7 @@ impl<V: Copy> CompactAdjacency<V> {
         self.slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.len > 0)
+            .filter(|(_, s)| s.len() > 0)
             .flat_map(move |(idx, s)| {
                 self.list(idx as u32)
                     .iter()
@@ -411,7 +461,7 @@ impl<V: Copy> CompactAdjacency<V> {
     /// Calls `f(w, value_uw, value_vw)` for every common neighbor `w` of `u`
     /// and `v`, iterating the smaller neighborhood. The larger side is
     /// scanned linearly up to [`LINEAR_PROBE_MAX`] entries and
-    /// binary-searched beyond that (spilled blocks are sorted), so the cost
+    /// binary-searched beyond that (lists that long are sorted), so the cost
     /// is `O(min deg)` sequential reads typically and
     /// `O(min deg · log max deg)` contiguous probes in the hub worst case.
     #[inline]
@@ -499,7 +549,7 @@ impl<V: Copy> CompactAdjacency<V> {
         F: FnMut(NodeId, V, V),
     {
         if u_sorted && v_sorted && Self::balanced(lu.len(), lv.len()) {
-            // Both spilled and comparably sized: sorted-merge intersection,
+            // Both sorted and comparably sized: sorted-merge intersection,
             // O(deg(u) + deg(v)) pure sequential reads. (Lopsided pairs
             // fall through to min-side iteration + binary search, which is
             // O(min deg · log max deg) — cheaper when max deg dominates.)
@@ -567,8 +617,8 @@ impl<V: Copy> CompactAdjacency<V> {
     pub fn triad_counts(&self, u: NodeId, v: NodeId) -> (usize, usize, bool) {
         let iu = self.lookup(u);
         let iv = self.lookup(v);
-        let du = iu.map_or(0, |i| self.slots[i as usize].len as usize);
-        let dv = iv.map_or(0, |i| self.slots[i as usize].len as usize);
+        let du = iu.map_or(0, |i| self.slots[i as usize].len());
+        let dv = iv.map_or(0, |i| self.slots[i as usize].len());
         let (Some(iu), Some(iv)) = (iu, iv) else {
             return (0, du + dv, false);
         };
@@ -646,8 +696,8 @@ impl<V: Copy> CompactAdjacency<V> {
     pub fn wedge_closure_counts(&self, u: NodeId, v: NodeId) -> (usize, bool) {
         let iu = self.lookup(u);
         let iv = self.lookup(v);
-        let du = iu.map_or(0, |i| self.slots[i as usize].len as usize);
-        let dv = iv.map_or(0, |i| self.slots[i as usize].len as usize);
+        let du = iu.map_or(0, |i| self.slots[i as usize].len());
+        let dv = iv.map_or(0, |i| self.slots[i as usize].len());
         let (Some(iu), Some(iv)) = (iu, iv) else {
             return (du + dv, false);
         };
@@ -806,15 +856,40 @@ impl<V: Copy> CompactAdjacency<V> {
         self.list_tagged(idx).0
     }
 
-    /// Live neighbor entries plus whether they are sorted (spilled blocks
-    /// are; inline arrays are in arrival order).
+    /// Live neighbor entries plus whether they are sorted (class ≥ 1
+    /// blocks are; inline lists and class-0 blocks are in arrival order).
     #[inline]
     fn list_tagged(&self, idx: u32) -> (&[(NodeId, V)], bool) {
         let slot = &self.slots[idx as usize];
-        let len = slot.len as usize;
-        match &slot.storage {
-            NodeStorage::Inline(arr) => (&arr[..len], false),
-            NodeStorage::Spill { offset, .. } => (&self.pool[*offset as usize..][..len], true),
+        let len = slot.len();
+        if len <= INLINE_NEIGHBORS {
+            (&slot.inline[..len], false)
+        } else {
+            (&self.pool[slot.offset()..][..len], slot.sorted())
+        }
+    }
+
+    /// Mutable live neighbor entries of the node in `slots[idx]`, plus
+    /// whether they are sorted.
+    #[inline]
+    fn list_tagged_mut(&mut self, idx: u32) -> (&mut [(NodeId, V)], bool) {
+        let slot = &mut self.slots[idx as usize];
+        let len = slot.len();
+        if len <= INLINE_NEIGHBORS {
+            (&mut slot.inline[..len], false)
+        } else {
+            let sorted = slot.sorted();
+            (&mut self.pool[slot.offset()..][..len], sorted)
+        }
+    }
+
+    /// Position of `nbr` in a neighbor list.
+    #[inline]
+    fn position(list: &[(NodeId, V)], sorted: bool, nbr: NodeId) -> Option<usize> {
+        if sorted {
+            list.binary_search_by_key(&nbr, |e| e.0).ok()
+        } else {
+            list.iter().position(|e| e.0 == nbr)
         }
     }
 
@@ -828,27 +903,10 @@ impl<V: Copy> CompactAdjacency<V> {
     /// Rewrites the stored value on the `nbr` entry of the list in slot
     /// `idx`; returns the previous value.
     fn update_entry_at(&mut self, idx: u32, nbr: NodeId, value: V) -> V {
-        let len = self.slots[idx as usize].len as usize;
-        match &mut self.slots[idx as usize].storage {
-            NodeStorage::Inline(arr) => {
-                for entry in &mut arr[..len] {
-                    if entry.0 == nbr {
-                        let prev = entry.1;
-                        entry.1 = value;
-                        return prev;
-                    }
-                }
-            }
-            NodeStorage::Spill { offset, .. } => {
-                let list = &mut self.pool[*offset as usize..][..len];
-                if let Ok(pos) = list.binary_search_by_key(&nbr, |e| e.0) {
-                    let prev = list[pos].1;
-                    list[pos].1 = value;
-                    return prev;
-                }
-            }
-        }
-        unreachable!("neighbor lists out of sync at slot {idx}->{nbr}");
+        let (list, sorted) = self.list_tagged_mut(idx);
+        let pos = Self::position(list, sorted, nbr)
+            .unwrap_or_else(|| unreachable!("neighbor lists out of sync at slot {idx}->{nbr}"));
+        std::mem::replace(&mut list[pos].1, value)
     }
 
     /// Interns `node`, creating a slot if needed. `fill` initializes fresh
@@ -862,22 +920,19 @@ impl<V: Copy> CompactAdjacency<V> {
         }
         self.filter_add(node);
         self.live_nodes += 1;
+        let fresh = NodeSlot {
+            id: node,
+            packed: 0,
+            inline: [fill; INLINE_NEIGHBORS],
+        };
         let idx = match self.free_slots.pop() {
             Some(idx) => {
-                let slot = &mut self.slots[idx as usize];
-                slot.id = node;
-                slot.len = 0;
-                slot.storage = NodeStorage::Inline([fill; INLINE_NEIGHBORS]);
+                self.slots[idx as usize] = fresh;
                 idx
             }
             None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(NodeSlot {
-                    id: node,
-                    len: 0,
-                    storage: NodeStorage::Inline([fill; INLINE_NEIGHBORS]),
-                });
-                idx
+                self.slots.push(fresh);
+                (self.slots.len() - 1) as u32
             }
         };
         self.index_of.insert(node, idx);
@@ -896,50 +951,46 @@ impl<V: Copy> CompactAdjacency<V> {
     /// Appends `entry` to the (already interned) node in slot `idx`.
     fn attach_at(&mut self, idx: u32, entry: (NodeId, V)) {
         let idx = idx as usize;
-        let len = self.slots[idx].len as usize;
-        // Fast paths: room in the current storage.
-        match &mut self.slots[idx].storage {
-            NodeStorage::Inline(arr) if len < INLINE_NEIGHBORS => {
-                arr[len] = entry;
-                self.slots[idx].len += 1;
-                return;
-            }
-            NodeStorage::Spill { offset, class } if len < block_len(*class) => {
-                let offset = *offset as usize;
+        let slot = self.slots[idx];
+        let len = slot.len();
+        if len < INLINE_NEIGHBORS {
+            self.slots[idx].inline[len] = entry;
+            self.slots[idx].packed += 1;
+            return;
+        }
+        if len == INLINE_NEIGHBORS {
+            // Inline → class-0 block, arrival order kept.
+            self.spills += 1;
+            let offset = self.alloc_block(0, entry);
+            self.pool[offset..offset + len].copy_from_slice(&slot.inline);
+            self.pool[offset + len] = entry;
+            self.slots[idx].set_spilled(len + 1, 0, offset);
+            return;
+        }
+        let (offset, class) = (slot.offset(), slot.class());
+        if len < block_len(class) {
+            // Room in the current block.
+            if slot.sorted() {
                 self.sorted_insert(offset, len, entry);
-                self.slots[idx].len += 1;
-                return;
-            }
-            _ => {}
-        }
-        // Slow path: current storage is full — spill inline → class 0, or
-        // grow the block one size class (copy, then recycle the old block).
-        self.spills += 1;
-        match self.slots[idx].storage {
-            NodeStorage::Inline(arr) => {
-                let offset = self.alloc_block(0, entry);
-                self.pool[offset..offset + INLINE_NEIGHBORS].copy_from_slice(&arr);
+            } else {
                 self.pool[offset + len] = entry;
-                // Spilled blocks are sorted; establish the invariant once.
-                self.pool[offset..offset + len + 1].sort_unstable_by_key(|e| e.0);
-                self.slots[idx].storage = NodeStorage::Spill {
-                    offset: offset as u32,
-                    class: 0,
-                };
             }
-            NodeStorage::Spill { offset, class } => {
-                let new_offset = self.alloc_block(class + 1, entry);
-                let old = offset as usize;
-                self.pool.copy_within(old..old + len, new_offset);
-                self.free_block(offset, class);
-                self.sorted_insert(new_offset, len, entry);
-                self.slots[idx].storage = NodeStorage::Spill {
-                    offset: new_offset as u32,
-                    class: class + 1,
-                };
-            }
+            self.slots[idx].packed += 1;
+            return;
         }
-        self.slots[idx].len += 1;
+        // Block full: grow one size class (copy, then recycle the old
+        // block). Growing out of class 0 sorts the list once.
+        self.spills += 1;
+        let new_offset = self.alloc_block(class + 1, entry);
+        self.pool.copy_within(offset..offset + len, new_offset);
+        self.free_block(offset as u32, class);
+        if class == 0 {
+            self.pool[new_offset + len] = entry;
+            self.pool[new_offset..new_offset + len + 1].sort_unstable_by_key(|e| e.0);
+        } else {
+            self.sorted_insert(new_offset, len, entry);
+        }
+        self.slots[idx].set_spilled(len + 1, class + 1, new_offset);
     }
 
     /// Inserts `entry` into the sorted block `pool[offset..offset + len]`
@@ -956,52 +1007,37 @@ impl<V: Copy> CompactAdjacency<V> {
     /// migrates the list back inline or frees the node if warranted.
     /// Returns the value that was stored on the removed entry.
     fn detach_at(&mut self, idx: u32, node: NodeId, nbr: NodeId) -> V {
-        let idx = idx as usize;
-        let len = self.slots[idx].len as usize;
-        let value;
-        match &mut self.slots[idx].storage {
-            NodeStorage::Inline(arr) => {
-                let pos = arr[..len]
-                    .iter()
-                    .position(|e| e.0 == nbr)
-                    .expect("neighbor missing from inline list");
-                value = arr[pos].1;
-                arr[pos] = arr[len - 1];
-            }
-            NodeStorage::Spill { offset, .. } => {
-                let offset = *offset as usize;
-                let pos = self.pool[offset..offset + len]
-                    .binary_search_by_key(&nbr, |e| e.0)
-                    .expect("neighbor missing from spilled list");
-                value = self.pool[offset + pos].1;
-                // Ordered removal (shift, not swap) keeps the block sorted.
-                self.pool
-                    .copy_within(offset + pos + 1..offset + len, offset + pos);
-            }
+        let (list, sorted) = self.list_tagged_mut(idx);
+        let pos = Self::position(list, sorted, nbr).expect("neighbor missing from list");
+        let value = list[pos].1;
+        if sorted {
+            // Ordered removal (shift, not swap) keeps the block sorted.
+            list.copy_within(pos + 1.., pos);
+        } else {
+            list[pos] = list[list.len() - 1];
         }
-        let len = len - 1;
-        self.slots[idx].len = len as u32;
+        let idx = idx as usize;
+        let slot = self.slots[idx];
+        let len = slot.len() - 1;
         if len == 0 {
-            // A spilled list migrates inline at SHRINK_TO_INLINE >= 1, so a
-            // node can only die while inline — but recycle the block anyway
-            // if that invariant ever changes. The stale storage is harmless:
-            // `intern` resets it before the slot is reused.
-            if let NodeStorage::Spill { offset, class } = self.slots[idx].storage {
-                debug_assert!(false, "node died while still spilled");
-                self.free_block(offset, class);
-            }
+            // Only an inline list can empty (a spilled one migrates inline
+            // at INLINE_NEIGHBORS >= 1 entries), so no block is left behind;
+            // `intern` resets the slot before it is reused.
+            self.slots[idx].packed = 0;
             self.index_of.remove(&node);
             self.live_nodes -= 1;
             self.filter_remove(node);
             self.free_slots.push(idx as u32);
-        } else if let NodeStorage::Spill { offset, class } = self.slots[idx].storage {
-            if len <= SHRINK_TO_INLINE {
-                let start = offset as usize;
-                let mut arr = [self.pool[start]; INLINE_NEIGHBORS];
-                arr[..len].copy_from_slice(&self.pool[start..start + len]);
-                self.free_block(offset, class);
-                self.slots[idx].storage = NodeStorage::Inline(arr);
-            }
+        } else if len == INLINE_NEIGHBORS {
+            // Spilled list shrank to the inline cap: migrate back inline.
+            let offset = slot.offset();
+            let mut inline = slot.inline;
+            inline.copy_from_slice(&self.pool[offset..offset + len]);
+            self.free_block(offset as u32, slot.class());
+            self.slots[idx].inline = inline;
+            self.slots[idx].packed = len as u32;
+        } else {
+            self.slots[idx].packed -= 1;
         }
         value
     }
@@ -1094,15 +1130,15 @@ mod tests {
         nbrs.sort_unstable();
         assert_eq!(nbrs, (0..degree).map(|i| (i, i)).collect::<Vec<_>>());
         // Remove most edges: the list shrinks and migrates back inline.
-        for i in (SHRINK_TO_INLINE as u32..degree).rev() {
+        for i in (INLINE_NEIGHBORS as u32..degree).rev() {
             assert_eq!(g.remove(Edge::new(hub, i)), Some(i));
         }
-        assert_eq!(g.degree(hub), SHRINK_TO_INLINE);
+        assert_eq!(g.degree(hub), INLINE_NEIGHBORS);
         let mut nbrs: Vec<(NodeId, u32)> = g.neighbors(hub).collect();
         nbrs.sort_unstable();
         assert_eq!(
             nbrs,
-            (0..SHRINK_TO_INLINE as u32)
+            (0..INLINE_NEIGHBORS as u32)
                 .map(|i| (i, i))
                 .collect::<Vec<_>>()
         );

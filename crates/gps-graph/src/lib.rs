@@ -13,7 +13,7 @@
 //!   reference implementation / differential-test oracle.
 //! - [`compact`]: the cache-friendly interned adjacency backend
 //!   ([`CompactAdjacency`]) that actually backs the GPS reservoir: inline
-//!   small-buffer neighbor lists spilling into a shared slab pool, with an
+//!   small-buffer neighbor lists spilling into a shared block pool, with an
 //!   adaptive common-neighbor kernel.
 //! - [`csr`]: an immutable compressed-sparse-row graph for exact analytics.
 //! - [`exact`]: exact triangle / wedge / clustering-coefficient computation

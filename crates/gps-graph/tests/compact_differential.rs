@@ -6,9 +6,15 @@
 //! property drives both structures through the same operations and compares
 //! every return value plus full observable state (degrees, neighbor sets,
 //! edge sets, common-neighbor enumeration with value orientation).
+//!
+//! Neighbor *order* is checked separately, against [`OrderModel`]: the
+//! Holme–Kim generator's `neighbor_at` draws, the baselines and the
+//! estimators' summation order all depend on it, so it must be a function
+//! of the insert/remove sequence alone, not of where a list is stored.
 
 use std::collections::HashMap;
 
+use gps_graph::compact::{INLINE_NEIGHBORS, LINEAR_PROBE_MAX, SORT_AFTER};
 use gps_graph::types::{Edge, NodeId};
 use gps_graph::{AdjacencyMap, CompactAdjacency, EdgeHints};
 use proptest::prelude::*;
@@ -298,5 +304,171 @@ proptest! {
             prop_assert_eq!(completion(&compact, 0, 1), completion_oracle(&oracle, 0, 1));
         }
         assert_equivalent(&compact, &oracle, 10);
+    }
+}
+
+/// The neighbor-order rule on plain `Vec`s: a list keeps arrival order,
+/// with `swap_remove` eviction, until it grows past [`SORT_AFTER`] entries
+/// since it last held at most [`INLINE_NEIGHBORS`]; from then on it is kept
+/// sorted by neighbor id (ordered removal), until it shrinks back to
+/// [`INLINE_NEIGHBORS`] entries.
+#[derive(Default)]
+struct OrderModel {
+    /// Per live node: its list and whether it is in sorted mode.
+    lists: HashMap<NodeId, (Vec<(NodeId, u32)>, bool)>,
+}
+
+impl OrderModel {
+    fn list(&self, node: NodeId) -> &[(NodeId, u32)] {
+        self.lists.get(&node).map_or(&[], |(l, _)| l.as_slice())
+    }
+
+    fn insert(&mut self, e: Edge, value: u32) {
+        let (u, v) = e.endpoints();
+        if self.list(u).iter().any(|x| x.0 == v) {
+            self.set(e, value);
+            return;
+        }
+        self.attach(u, (v, value));
+        self.attach(v, (u, value));
+    }
+
+    fn remove(&mut self, e: Edge) {
+        let (u, v) = e.endpoints();
+        if self.list(u).iter().any(|x| x.0 == v) {
+            self.detach(u, v);
+            self.detach(v, u);
+        }
+    }
+
+    fn set(&mut self, e: Edge, value: u32) {
+        let (u, v) = e.endpoints();
+        for (node, nbr) in [(u, v), (v, u)] {
+            if let Some((list, _)) = self.lists.get_mut(&node) {
+                if let Some(x) = list.iter_mut().find(|x| x.0 == nbr) {
+                    x.1 = value;
+                }
+            }
+        }
+    }
+
+    fn attach(&mut self, node: NodeId, entry: (NodeId, u32)) {
+        let (list, sorted) = self.lists.entry(node).or_default();
+        if *sorted {
+            let pos = list.partition_point(|x| x.0 < entry.0);
+            list.insert(pos, entry);
+        } else {
+            list.push(entry);
+            if list.len() > SORT_AFTER {
+                list.sort_unstable_by_key(|x| x.0);
+                *sorted = true;
+            }
+        }
+    }
+
+    fn detach(&mut self, node: NodeId, nbr: NodeId) {
+        let (list, sorted) = self.lists.get_mut(&node).expect("live node");
+        let pos = list.iter().position(|x| x.0 == nbr).expect("present");
+        if *sorted {
+            list.remove(pos);
+        } else {
+            list.swap_remove(pos);
+        }
+        if list.len() <= INLINE_NEIGHBORS {
+            *sorted = false;
+        }
+        if list.is_empty() {
+            self.lists.remove(&node);
+        }
+    }
+}
+
+/// Asserts every node's stored list, in order, against the model.
+fn assert_order(compact: &CompactAdjacency<u32>, model: &OrderModel, nodes: NodeId) {
+    for node in 0..nodes {
+        assert_eq!(
+            compact.neighbor_slice(node),
+            model.list(node),
+            "order of node {node}"
+        );
+    }
+}
+
+/// Hub-heavy edits: four hubs against 64 nodes, first insert-heavy (hub
+/// degrees climb past `LINEAR_PROBE_MAX`), then remove-heavy (they fall
+/// back through 5, 4 and 2), with value updates throughout.
+fn arb_hub_ops() -> impl Strategy<Value = Vec<Op>> {
+    let phase =
+        |max_len| prop::collection::vec((0u8..10, 0u32..4, 0u32..64, any::<u32>()), 0..max_len);
+    (phase(320), phase(320)).prop_map(|(grow, shrink)| {
+        let op = |inserts: u8| {
+            move |(kind, hub, other, val): (u8, u32, u32, u32)| {
+                let edge = Edge::try_new(hub, other)?;
+                Some(match kind {
+                    k if k < inserts => Op::Insert(edge, val),
+                    9 => Op::Set(edge, val),
+                    _ => Op::Remove(edge),
+                })
+            }
+        };
+        let grow = grow.into_iter().filter_map(op(8));
+        grow.chain(shrink.into_iter().filter_map(op(2))).collect()
+    })
+}
+
+/// Applies `op` to both the structure and the order model.
+fn apply_ordered(compact: &mut CompactAdjacency<u32>, model: &mut OrderModel, op: Op) {
+    match op {
+        Op::Insert(e, v) => {
+            compact.insert(e, v);
+            model.insert(e, v);
+        }
+        Op::Remove(e) => {
+            compact.remove(e);
+            model.remove(e);
+        }
+        Op::Set(e, v) => {
+            compact.set(e, v);
+            model.set(e, v);
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn neighbor_order_follows_the_order_model(ops in arb_hub_ops()) {
+        let mut compact: CompactAdjacency<u32> = CompactAdjacency::new();
+        let mut model = OrderModel::default();
+        for &op in &ops {
+            apply_ordered(&mut compact, &mut model, op);
+            assert_order(&compact, &model, 64);
+        }
+    }
+}
+
+#[test]
+fn neighbor_order_follows_the_order_model_through_every_threshold() {
+    // One hub walked up past LINEAR_PROBE_MAX and back down to nothing,
+    // twice, in a scrambled id order, with a value update at every size:
+    // every inline/class-0/sorted transition is crossed in both directions.
+    let mut compact: CompactAdjacency<u32> = CompactAdjacency::new();
+    let mut model = OrderModel::default();
+    let top = LINEAR_PROBE_MAX as u32 + 8;
+    let scrambled = |i: u32| 1 + (i * 37) % top;
+    for round in 0..2 {
+        for i in 0..top {
+            let e = Edge::new(0, scrambled(i));
+            for op in [Op::Insert(e, i + round), Op::Set(e, i * 3)] {
+                apply_ordered(&mut compact, &mut model, op);
+                assert_order(&compact, &model, top + 1);
+            }
+        }
+        assert_eq!(compact.degree(0), top as usize);
+        for i in 0..top {
+            let e = Edge::new(0, scrambled((i * 11) % top));
+            apply_ordered(&mut compact, &mut model, Op::Remove(e));
+            assert_order(&compact, &model, top + 1);
+        }
+        assert_eq!(compact.degree(0), 0);
     }
 }

@@ -149,4 +149,28 @@ mod tests {
         assert_eq!(holme_kim(500, 2, 0.5, 1), holme_kim(500, 2, 0.5, 1));
         assert_ne!(holme_kim(500, 2, 0.5, 1), holme_kim(500, 2, 0.5, 2));
     }
+
+    /// FNV-1a over each edge's `u` then `v` as little-endian `u32`s.
+    fn fnv1a(edges: &[Edge]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for e in edges {
+            for b in e.u().to_le_bytes().into_iter().chain(e.v().to_le_bytes()) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn output_is_pinned() {
+        // Triad formation draws `neighbor_at` on the growing adjacency, so
+        // the output depends on CompactAdjacency's neighbor order as well
+        // as on the RNG. The benchmark input and every seeded experiment
+        // are Holme–Kim streams; this pin catches an order change that
+        // would silently change them all.
+        let edges = holme_kim(20_000, 4, 0.5, 1);
+        assert_eq!(edges.len(), 79_990);
+        assert_eq!(fnv1a(&edges), 0xa37b_1a55_7c5f_011b);
+    }
 }
