@@ -86,7 +86,7 @@ impl TriangleEstimator for GpsInStream {
 /// with in-stream estimation: one `InStreamEstimator` per shard on the
 /// engine's exact per-shard seeds and budgets, routed by the engine's
 /// exact partition — so its estimates are **bit-identical** to
-/// `ShardedGps::with_estimation` + `estimate_in_stream` on the same
+/// an in-stream `ShardedGps::launch` + `estimate_in_stream` on the same
 /// config and stream (threading never changes per-shard arrival order),
 /// while remaining queryable at any mid-stream checkpoint. Table 3's
 /// sharded tracking arm runs on this.
@@ -145,6 +145,7 @@ impl TriangleEstimator for ShardedInStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gps_engine::{Estimation, Launch};
 
     fn k5() -> Vec<Edge> {
         let mut v = vec![];
@@ -167,11 +168,12 @@ mod tests {
             }
         }
         for shards in [1usize, 3] {
-            let mut engine = ShardedGps::with_estimation(
-                gps_engine::EngineConfig::new(60, shards, 21),
-                TriangleWeight::default(),
-                None,
-            );
+            let launch = Launch {
+                estimation: Estimation::InStream(None),
+                ..Launch::default()
+            };
+            let cfg = gps_engine::EngineConfig::new(60, shards, 21);
+            let mut engine = ShardedGps::launch(cfg, TriangleWeight::default(), launch);
             engine.push_stream(edges.iter().copied());
             let from_engine = engine.estimate_in_stream();
             let mut mirror = ShardedInStream::new(60, 21, shards);

@@ -20,7 +20,7 @@ use gps_stream::{permuted, Checkpoints};
 use crate::adapters::{GpsInStream, GpsPost, ShardedInStream};
 use crate::config::Config;
 use crate::truth::GroundTruth;
-use gps_engine::{EngineConfig, ShardedGps};
+use gps_engine::{EngineConfig, Estimation, Launch, ShardedGps};
 
 /// Reservoir capacity used by Table 1 (the paper's 200K edges, scaled to our
 /// workload sizes: ≈8% of a 250K-edge graph).
@@ -75,7 +75,11 @@ fn run_engine_pair(
 ) -> GpsPair {
     let stream = permuted(edges, stream_seed);
     let cfg = EngineConfig::new(m, shards, engine_seed);
-    let mut engine = ShardedGps::with_estimation(cfg, TriangleWeight::default(), None);
+    let launch = Launch {
+        estimation: Estimation::InStream(None),
+        ..Launch::default()
+    };
+    let mut engine = ShardedGps::launch(cfg, TriangleWeight::default(), launch);
     engine.push_stream(stream);
     GpsPair {
         in_stream: engine.estimate_in_stream(),

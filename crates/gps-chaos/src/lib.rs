@@ -14,8 +14,9 @@
 //! The three suites under `tests/` pin the fault-tolerance contract:
 //!
 //! - `reproducibility` — same seed + same plan ⇒ identical estimates (to
-//!   the bit) and an identical incident ledger, across crash-and-restore
-//!   and corrupt-checkpoint scenarios.
+//!   the bit) and an identical incident ledger, across crash-and-restore,
+//!   corrupt-checkpoint and save → resume → crash scenarios; the last also
+//!   pins that a resumed engine is supervised by the caller's config.
 //! - `crash_unbiasedness` — a supervised crash + checkpoint restore leaves
 //!   the HT estimators unbiased over many independent seeds (the mean
 //!   tracks exact ground truth as tightly as the unfaulted engine suite).
@@ -27,7 +28,9 @@
 
 use gps_core::weights::EdgeWeight;
 use gps_core::TriadEstimates;
-use gps_engine::{EngineConfig, EngineHealth, FaultPlan, ShardedGps};
+use gps_engine::{
+    EngineConfig, EngineHealth, Estimation, FaultPlan, Launch, SavedEngine, ShardedGps,
+};
 use gps_graph::types::Edge;
 use gps_telemetry::TelemetrySnapshot;
 
@@ -87,7 +90,43 @@ pub fn run_engine_scenario<W: EdgeWeight + Clone + Send + 'static>(
     stream: impl IntoIterator<Item = Edge>,
     faults: FaultPlan,
 ) -> ScenarioOutcome {
-    let mut engine = ShardedGps::with_estimation_and_faults(cfg, weight_fn, None, faults);
+    run_scenario(cfg, weight_fn, stream, faults, None)
+}
+
+/// [`run_engine_scenario`] on an engine resumed from `saved` rather than
+/// started empty: the snapshot supplies the samples and the stream
+/// position, `cfg` everything else — checkpointing included. Fault
+/// triggers count per-shard arrivals from the start of the *original*
+/// stream, so a crash after the resume sits past the snapshot's per-shard
+/// arrivals. The outcome's telemetry covers the resumed run only (it
+/// starts on a fresh registry); `pushed` counts the whole stream.
+///
+/// # Panics
+/// Panics if `saved` does not match `cfg` (see `ShardedGps::launch`).
+pub fn resume_engine_scenario<W: EdgeWeight + Clone + Send + 'static>(
+    saved: SavedEngine,
+    cfg: EngineConfig,
+    weight_fn: W,
+    stream: impl IntoIterator<Item = Edge>,
+    faults: FaultPlan,
+) -> ScenarioOutcome {
+    run_scenario(cfg, weight_fn, stream, faults, Some(saved))
+}
+
+fn run_scenario<W: EdgeWeight + Clone + Send + 'static>(
+    cfg: EngineConfig,
+    weight_fn: W,
+    stream: impl IntoIterator<Item = Edge>,
+    faults: FaultPlan,
+    resume: Option<SavedEngine>,
+) -> ScenarioOutcome {
+    let launch = Launch {
+        estimation: Estimation::InStream(None),
+        faults: Some(faults),
+        registry: None,
+        resume,
+    };
+    let mut engine = ShardedGps::launch(cfg, weight_fn, launch);
     engine.push_stream(stream);
     engine.finish();
     ScenarioOutcome {

@@ -14,9 +14,10 @@
 //! at which arrival count) stays fixed; only the coloring/sampling/stream
 //! randomness moves.
 
-use gps_chaos::{fingerprint, run_engine_scenario, ScenarioOutcome};
+use gps_chaos::{fingerprint, resume_engine_scenario, run_engine_scenario, ScenarioOutcome};
 use gps_core::weights::TriangleWeight;
-use gps_engine::{EngineConfig, FaultPlan};
+use gps_engine::{load_engine, EngineConfig, FaultPlan};
+use gps_serve::ServeEngine;
 use gps_stream::{gen, permuted};
 
 /// Suite seed: the committed base shifted by the CI matrix offset.
@@ -36,6 +37,84 @@ fn crash_scenario(seed: u64, plan: FaultPlan) -> ScenarioOutcome {
         ..EngineConfig::new(edges.len() / 4, 4, seed)
     };
     run_engine_scenario(cfg, TriangleWeight::default(), permuted(&edges, seed), plan)
+}
+
+/// Save → resume → crash: a serving engine (default config, so
+/// unsupervised) ingests the first half of the stream and is saved; the
+/// snapshot resumes with checkpointing on (`checkpoint_every = 16`, batches
+/// of 8), and shard 2 panics at its 40th arrival after the resume.
+/// Per-shard arrival counts continue across the resume, so the crash is
+/// placed relative to the shard's saved position. Returns the outcome and
+/// the saved engine's checkpoint count.
+fn resumed_crash_scenario(seed: u64) -> (ScenarioOutcome, u64) {
+    let edges = permuted(&gen::collaboration(300, 260, (3, 6), 0.5, 11), seed);
+    let (prefix, suffix) = edges.split_at(edges.len() / 2);
+    let capacity = edges.len() / 4;
+    let mut serve = ServeEngine::new(capacity, TriangleWeight::default(), seed, 4);
+    serve.push_stream(prefix.iter().copied());
+    let mut buf = Vec::new();
+    serve.save(&mut buf).expect("saving to a Vec cannot fail");
+    let saved_checkpoints = serve
+        .telemetry()
+        .counter_value("gps_engine_checkpoints_total")
+        .expect("engine metric is registered");
+    let saved = load_engine(buf.as_slice()).expect("a fresh snapshot loads");
+    let crash_at = saved.shards[2].arrivals + 40;
+    let cfg = EngineConfig {
+        batch: 8,
+        checkpoint_every: 16,
+        ..EngineConfig::new(capacity, 4, seed)
+    };
+    let outcome = resume_engine_scenario(
+        saved,
+        cfg,
+        TriangleWeight::default(),
+        suffix.iter().copied(),
+        FaultPlan::new().panic_at(2, crash_at),
+    );
+    (outcome, saved_checkpoints)
+}
+
+#[test]
+fn resumed_engine_is_supervised_by_its_config() {
+    // `resume_engine_scenario` panics on any terminal engine error, so
+    // reaching the assertions means the crash was recovered — a resumed
+    // engine that dropped the caller's `checkpoint_every` would surface it
+    // as `EngineError::ShardPanicked` instead.
+    let (run, saved_checkpoints) = resumed_crash_scenario(seed(61));
+    assert_eq!(saved_checkpoints, 0, "the saved engine ran unsupervised");
+    let checkpoints = run
+        .telemetry
+        .counter_value("gps_engine_checkpoints_total")
+        .expect("engine metric is registered");
+    assert!(checkpoints > 0, "the resumed engine must checkpoint");
+    assert_eq!(run.health.incidents.len(), 1);
+    let incident = &run.health.incidents[0];
+    assert_eq!(incident.shard, 2);
+    assert_eq!(incident.restarts, 1);
+    assert!(!incident.stalled && !incident.checkpoint_corrupt);
+    // Batches of 8 land the post-resume checkpoints on exact multiples of
+    // 16, so the crash at +40 loses exactly (+32, +40].
+    assert_eq!(incident.lost_arrivals, 8);
+    assert_eq!(run.health.lost_arrivals, 8);
+    assert_eq!(
+        run.telemetry.counter_value("gps_engine_restarts_total"),
+        Some(1)
+    );
+}
+
+#[test]
+fn saved_resumed_and_crashed_run_is_bit_reproducible() {
+    let (a, _) = resumed_crash_scenario(seed(61));
+    let (b, _) = resumed_crash_scenario(seed(61));
+    assert!(a.degraded(), "the post-resume crash must be on the ledger");
+    assert_eq!(a.health, b.health);
+    assert_eq!(fingerprint(&a.estimate), fingerprint(&b.estimate));
+    assert_eq!(fingerprint(&a.in_stream), fingerprint(&b.in_stream));
+    assert_eq!(a.pushed, b.pushed);
+    let (sa, sb) = (a.telemetry.stable(), b.telemetry.stable());
+    assert_eq!(sa, sb, "stable telemetry must replay exactly");
+    assert_eq!(sa.fingerprint(), sb.fingerprint());
 }
 
 #[test]

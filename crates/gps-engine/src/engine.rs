@@ -39,6 +39,7 @@
 
 use crate::fault::FaultPlan;
 use crate::partition::{shard_seed, EdgePartitioner};
+use crate::snapshot::SavedEngine;
 use gps_core::weights::EdgeWeight;
 use gps_core::{post_stream, GpsSampler, InStreamState, InStreamTotals, TriadEstimates};
 use gps_graph::types::Edge;
@@ -262,12 +263,49 @@ pub type EpochHook = Arc<dyn Fn(ShardReport) + Send + Sync>;
 /// same logic.
 use crate::shard::ShardRunner as Runner;
 
-/// Worker construction mode (see [`ShardedGps::with_estimation`]).
-pub(crate) enum WorkerMode {
-    /// Bare samplers; post-stream estimation only.
-    Plain,
-    /// Per-shard `InStreamEstimator`s, optionally reporting through a hook.
-    Estimating(Option<EpochHook>),
+/// What the shard workers estimate. Sampling is the same either way — one
+/// reservoir serves both of the paper's estimators — so an in-stream engine
+/// selects bit-identical reservoirs to a post-stream one on the same config,
+/// and [`ShardedGps::estimate`] stays available on both.
+#[derive(Default)]
+pub enum Estimation {
+    /// Bare samplers (`GPSUpdate` only): post-stream estimation at finish.
+    #[default]
+    PostStream,
+    /// Every worker runs the paper's in-stream estimator (Algorithm 3) over
+    /// its substream, so the lower-variance snapshot estimates become
+    /// available through [`ShardedGps::estimate_in_stream`]; the hook, if
+    /// given, receives a [`ShardReport`] every [`EngineConfig::epoch_every`]
+    /// per-shard arrivals (the publication hook `gps-serve` builds its live
+    /// epochs on).
+    InStream(Option<EpochHook>),
+}
+
+/// How [`ShardedGps::launch`] starts an engine, beyond its [`EngineConfig`]
+/// and weight function. [`Launch::default`] is a fresh post-stream engine
+/// with no injected faults on a private telemetry registry.
+#[derive(Default)]
+pub struct Launch {
+    /// What the workers estimate.
+    pub estimation: Estimation,
+    /// A deterministic [`FaultPlan`] injected into the workers — the
+    /// chaos-testing hook.
+    pub faults: Option<FaultPlan>,
+    /// The telemetry registry the engine's metrics are registered on;
+    /// `None` creates a private one. Layers that stack their own metrics
+    /// on top of the engine (`gps-serve`) pass a shared registry so a
+    /// single [`TelemetrySnapshot`] covers the whole stack. Registration
+    /// is idempotent by name, so a registry that has seen a previous engine
+    /// generation hands back the *same* counters and the ledgers stay
+    /// cumulative across restores.
+    pub registry: Option<Arc<Registry>>,
+    /// A saved engine to resume from instead of empty reservoirs. The
+    /// snapshot supplies the per-shard samplers, their in-stream
+    /// accumulators and the stream position; the config supplies
+    /// everything else. In-stream workers resume *exactly* from
+    /// `gps-sample v2` sections and re-seed from the restored sample's
+    /// post-stream estimate on `v1` ones.
+    pub resume: Option<SavedEngine>,
 }
 
 /// What `snapshot` reads off a finished engine: config, per-shard
@@ -585,7 +623,9 @@ struct Collected<W> {
 /// stream, with unbiased cross-shard estimate merging (see the crate docs
 /// for the stratification + monochromacy-correction argument).
 ///
-/// Lifecycle: [`ShardedGps::push`] while streaming, then
+/// Lifecycle: start one with [`ShardedGps::launch`] (or its shorthand
+/// [`ShardedGps::new`]), fresh or resumed from a snapshot;
+/// [`ShardedGps::push`] while streaming, then
 /// [`ShardedGps::finish`] (or any estimation call, which finishes
 /// implicitly) to drain the channels and join the workers; after that the
 /// per-shard samplers are owned by the engine and estimation/persistence
@@ -625,8 +665,7 @@ pub struct ShardedGps<W> {
     event_tx: Sender<WorkerEvent<W>>,
     /// Per-shard final states as they arrive during finish.
     collected: Vec<Option<Collected<W>>>,
-    hook: Option<EpochHook>,
-    estimating: bool,
+    estimation: Estimation,
     faults: Option<Arc<FaultPlan>>,
     health: EngineHealth,
     /// Terminal failure recorded by a completed `try_finish`.
@@ -650,121 +689,36 @@ pub struct ShardedGps<W> {
 }
 
 impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
-    /// Creates an engine with total budget `capacity` split across
-    /// `shards` workers, on the default config (see [`EngineConfig::new`]).
+    /// Starts a fresh post-stream engine with total budget `capacity` split
+    /// across `shards` workers: [`ShardedGps::launch`] on
+    /// [`EngineConfig::new`] with [`Launch::default`].
     ///
     /// # Panics
     /// Panics if `shards == 0` or `capacity < shards` (every shard needs a
     /// positive reservoir).
     pub fn new(capacity: usize, weight_fn: W, seed: u64, shards: usize) -> Self {
-        Self::with_config(EngineConfig::new(capacity, shards, seed), weight_fn)
+        Self::launch(
+            EngineConfig::new(capacity, shards, seed),
+            weight_fn,
+            Launch::default(),
+        )
     }
 
-    /// Creates an engine from an explicit [`EngineConfig`].
+    /// Starts an engine: one worker thread per shard, each owning a
+    /// `GpsSampler` with its share of `cfg.capacity` on its own
+    /// seed-derived RNG stream. `launch` says what the workers estimate,
+    /// which faults they inject, where their metrics go, and whether the
+    /// reservoirs start empty or from a [`SavedEngine`]. A resumed engine
+    /// takes its samplers, in-stream states and stream position from the
+    /// snapshot and everything else — batch and queue sizes, epoch
+    /// cadence, checkpointing, timeouts, restart budget — from `cfg`.
     ///
     /// # Panics
-    /// Same conditions as [`ShardedGps::new`], plus `batch == 0` or
-    /// `queue == 0`.
-    pub fn with_config(cfg: EngineConfig, weight_fn: W) -> Self {
-        Self::validate(&cfg);
-        let samplers = Self::fresh_samplers(&cfg, &weight_fn);
-        let states = (0..cfg.shards).map(|_| None).collect();
-        Self::launch(
-            cfg,
-            weight_fn,
-            samplers,
-            states,
-            WorkerMode::Plain,
-            None,
-            Arc::new(Registry::new()),
-        )
-    }
-
-    /// [`ShardedGps::with_config`] plus a deterministic [`FaultPlan`]
-    /// injected into the workers — the chaos-testing entry point.
-    pub fn with_config_and_faults(cfg: EngineConfig, weight_fn: W, faults: FaultPlan) -> Self {
-        Self::validate(&cfg);
-        let samplers = Self::fresh_samplers(&cfg, &weight_fn);
-        let states = (0..cfg.shards).map(|_| None).collect();
-        Self::launch(
-            cfg,
-            weight_fn,
-            samplers,
-            states,
-            WorkerMode::Plain,
-            Some(Arc::new(faults)),
-            Arc::new(Registry::new()),
-        )
-    }
-
-    /// Creates an engine whose workers run the paper's **in-stream**
-    /// estimator (Algorithm 3) over their substreams — the lower-variance
-    /// snapshot estimates become available through
-    /// [`ShardedGps::estimate_in_stream`], and, if `hook` is given, as
-    /// periodic per-shard [`ShardReport`]s every
-    /// [`EngineConfig::epoch_every`] per-shard arrivals (the publication
-    /// hook `gps-serve` builds its live epochs on).
-    ///
-    /// Sampling is untouched: an estimating engine selects bit-identical
-    /// reservoirs to a plain one on the same config, and post-stream
-    /// estimation ([`ShardedGps::estimate`]) remains available.
-    ///
-    /// # Panics
-    /// Same conditions as [`ShardedGps::with_config`].
-    pub fn with_estimation(cfg: EngineConfig, weight_fn: W, hook: Option<EpochHook>) -> Self {
-        Self::with_estimation_on_registry(cfg, weight_fn, hook, None, Arc::new(Registry::new()))
-    }
-
-    /// [`ShardedGps::with_estimation`] plus a deterministic [`FaultPlan`]
-    /// injected into the workers.
-    pub fn with_estimation_and_faults(
-        cfg: EngineConfig,
-        weight_fn: W,
-        hook: Option<EpochHook>,
-        faults: FaultPlan,
-    ) -> Self {
-        Self::with_estimation_on_registry(
-            cfg,
-            weight_fn,
-            hook,
-            Some(faults),
-            Arc::new(Registry::new()),
-        )
-    }
-
-    /// [`ShardedGps::with_estimation`] (optionally with a [`FaultPlan`]),
-    /// registering the engine's metrics on a **caller-supplied** telemetry
-    /// registry instead of a private one. Layers that stack their own
-    /// metrics on top of the engine (`gps-serve`) pass a shared registry
-    /// so a single [`TelemetrySnapshot`] covers the whole stack.
-    /// Registration is idempotent by name, so a registry that has seen a
-    /// previous engine generation hands back the *same* counters and the
-    /// ledgers stay cumulative across restores.
-    ///
-    /// # Panics
-    /// Same conditions as [`ShardedGps::with_config`].
-    pub fn with_estimation_on_registry(
-        cfg: EngineConfig,
-        weight_fn: W,
-        hook: Option<EpochHook>,
-        faults: Option<FaultPlan>,
-        registry: Arc<Registry>,
-    ) -> Self {
-        Self::validate(&cfg);
-        let samplers = Self::fresh_samplers(&cfg, &weight_fn);
-        let states = (0..cfg.shards).map(|_| None).collect();
-        Self::launch(
-            cfg,
-            weight_fn,
-            samplers,
-            states,
-            WorkerMode::Estimating(hook),
-            faults.map(Arc::new),
-            registry,
-        )
-    }
-
-    fn validate(cfg: &EngineConfig) {
+    /// Panics if `cfg.shards == 0`, `cfg.capacity < cfg.shards`, or
+    /// `batch`, `queue` or `epoch_every` is `0`. When resuming, also panics
+    /// if the snapshot's seed, capacity or shard count differs from `cfg`'s,
+    /// or its shard budgets do not sum to its capacity.
+    pub fn launch(cfg: EngineConfig, weight_fn: W, launch: Launch) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(
             cfg.capacity >= cfg.shards,
@@ -772,52 +726,30 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
             cfg.capacity,
             cfg.shards
         );
-    }
-
-    fn fresh_samplers(cfg: &EngineConfig, weight_fn: &W) -> Vec<GpsSampler<W>> {
-        (0..cfg.shards)
-            .map(|i| {
-                GpsSampler::new(
-                    Self::shard_capacity(cfg.capacity, cfg.shards, i),
-                    weight_fn.clone(),
-                    shard_seed(cfg.seed, i),
-                )
-            })
-            .collect()
-    }
-
-    /// Budget of shard `i`: `m/S`, first `m mod S` shards get one more.
-    /// Public (with [`shard_seed`]) so
-    /// single-threaded mirrors of the engine can reproduce its exact
-    /// per-shard samplers.
-    pub fn shard_capacity(capacity: usize, shards: usize, i: usize) -> usize {
-        capacity / shards + usize::from(i < capacity % shards)
-    }
-
-    /// Spawns one worker per sampler (also the restore path — see
-    /// `snapshot::SavedEngine::into_engine`). `states` carry per-shard
-    /// in-stream accumulators for exact resume (v2 snapshots).
-    pub(crate) fn launch(
-        cfg: EngineConfig,
-        weight_fn: W,
-        samplers: Vec<GpsSampler<W>>,
-        states: Vec<Option<InStreamState>>,
-        mode: WorkerMode,
-        faults: Option<Arc<FaultPlan>>,
-        registry: Arc<Registry>,
-    ) -> Self {
         assert!(cfg.batch > 0, "batch size must be positive");
         assert!(cfg.queue > 0, "queue depth must be positive");
         assert!(cfg.epoch_every > 0, "epoch cadence must be positive");
-        assert_eq!(samplers.len(), cfg.shards, "one sampler per shard");
-        assert_eq!(states.len(), cfg.shards, "one state slot per shard");
+        let Launch {
+            estimation,
+            faults,
+            registry,
+            resume,
+        } = launch;
+        let (pushed, shards) = match resume {
+            Some(saved) => (saved.pushed(), saved.restore(&cfg, &weight_fn)),
+            None => {
+                let fresh = (0..cfg.shards).map(|i| {
+                    let capacity = Self::shard_capacity(cfg.capacity, cfg.shards, i);
+                    let sampler =
+                        GpsSampler::new(capacity, weight_fn.clone(), shard_seed(cfg.seed, i));
+                    (sampler, None)
+                });
+                (0, fresh.collect())
+            }
+        };
         let (recycle_tx, recycled) = channel::<Vec<Edge>>();
         let (event_tx, events) = channel::<WorkerEvent<W>>();
-        let (hook, estimating) = match mode {
-            WorkerMode::Plain => (None, false),
-            WorkerMode::Estimating(hook) => (hook, true),
-        };
-        let metrics = EngineMetrics::register(registry);
+        let metrics = EngineMetrics::register(registry.unwrap_or_default());
         let mut engine = ShardedGps {
             partitioner: EdgePartitioner::new(cfg.seed, cfg.shards),
             pending: (0..cfg.shards)
@@ -829,24 +761,22 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
             events,
             event_tx,
             collected: (0..cfg.shards).map(|_| None).collect(),
-            hook,
-            estimating,
-            faults,
+            estimation,
+            faults: faults.map(Arc::new),
             weight_fn,
             health: EngineHealth::default(),
             failed: None,
             samplers: Vec::with_capacity(cfg.shards),
             in_finals: Vec::with_capacity(cfg.shards),
             in_states: Vec::with_capacity(cfg.shards),
-            pushed: 0,
+            pushed,
             metrics,
             harvested: false,
             cfg,
         };
-        for (shard, (sampler, state)) in samplers.into_iter().zip(states).enumerate() {
+        for (shard, (sampler, state)) in shards.into_iter().enumerate() {
             let routed = sampler.arrivals();
-            let hook = engine.hook.clone();
-            let runner = engine.runner_for(shard, sampler, state, hook);
+            let runner = engine.runner_for(shard, sampler, state);
             let ckpt: Arc<Mutex<CheckpointSlot>> =
                 Arc::new(Mutex::new(if engine.cfg.checkpoint_every > 0 {
                     runner.checkpoint_bytes()
@@ -880,19 +810,27 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
         engine
     }
 
-    /// Wraps a sampler in this engine's per-edge runner (estimating mode
-    /// resumes the in-stream accumulators exactly when `state` is given).
+    /// Budget of shard `i`: `m/S`, first `m mod S` shards get one more.
+    /// Public (with [`shard_seed`]) so
+    /// single-threaded mirrors of the engine can reproduce its exact
+    /// per-shard samplers.
+    pub fn shard_capacity(capacity: usize, shards: usize, i: usize) -> usize {
+        capacity / shards + usize::from(i < capacity % shards)
+    }
+
+    /// Wraps a sampler in this engine's per-edge runner (an in-stream
+    /// runner resumes its accumulators exactly when `state` is given).
     fn runner_for(
         &self,
         shard: usize,
         sampler: GpsSampler<W>,
         state: Option<InStreamState>,
-        hook: Option<EpochHook>,
     ) -> Runner<W> {
-        if self.estimating {
-            Runner::estimating(shard, sampler, state, hook, self.cfg.epoch_every)
-        } else {
-            Runner::plain(sampler)
+        match &self.estimation {
+            Estimation::PostStream => Runner::plain(sampler),
+            Estimation::InStream(hook) => {
+                Runner::estimating(shard, sampler, state, hook.clone(), self.cfg.epoch_every)
+            }
         }
     }
 
@@ -909,7 +847,10 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
     ) -> (Runner<W>, u64, bool) {
         let bytes = locked(&self.workers[shard].ckpt).clone();
         let seed = crate::shard::restart_seed(self.cfg.seed, shard, restarts);
-        let hook = if with_hook { self.hook.clone() } else { None };
+        let hook = match &self.estimation {
+            Estimation::InStream(hook) if with_hook => hook.clone(),
+            _ => None,
+        };
         Runner::from_checkpoint(
             shard,
             &bytes,
@@ -917,7 +858,7 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
             seed,
             BackendKind::Compact,
             Self::shard_capacity(self.cfg.capacity, self.cfg.shards, shard),
-            self.estimating,
+            matches!(self.estimation, Estimation::InStream(_)),
             hook,
             self.cfg.epoch_every,
         )
@@ -1393,8 +1334,7 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
     /// runs widen variances exactly like [`ShardedGps::estimate`].
     ///
     /// # Panics
-    /// Panics unless the engine was built with
-    /// [`ShardedGps::with_estimation`].
+    /// Panics unless the engine was launched with [`Estimation::InStream`].
     pub fn estimate_in_stream(&mut self) -> TriadEstimates {
         self.finish();
         let parts: Vec<TriadEstimates> = self
@@ -1532,15 +1472,10 @@ impl<W: EdgeWeight> ShardedGps<W> {
         self.len() == 0
     }
 
-    /// Restore-path internals for `snapshot`: the config, collected
+    /// Save-path internals for `snapshot`: the config, collected
     /// samplers and in-stream totals of a finished engine.
     pub(crate) fn parts(&self) -> EngineParts<'_, W> {
         (&self.cfg, &self.samplers, &self.in_states, self.pushed)
-    }
-
-    /// Sets the stream position on a restored engine (see `snapshot`).
-    pub(crate) fn set_pushed(&mut self, pushed: u64) {
-        self.pushed = pushed;
     }
 }
 
@@ -1548,6 +1483,20 @@ impl<W: EdgeWeight> ShardedGps<W> {
 mod tests {
     use super::*;
     use gps_core::weights::{TriangleWeight, UniformWeight};
+
+    fn faulted(plan: FaultPlan) -> Launch {
+        Launch {
+            faults: Some(plan),
+            ..Launch::default()
+        }
+    }
+
+    fn in_stream(hook: Option<EpochHook>) -> Launch {
+        Launch {
+            estimation: Estimation::InStream(hook),
+            ..Launch::default()
+        }
+    }
 
     fn clique_chunks(n: u32) -> Vec<Edge> {
         let mut edges = vec![];
@@ -1637,13 +1586,14 @@ mod tests {
         let mut defaults = ShardedGps::new(50, TriangleWeight::default(), 2, 2);
         defaults.push_stream(edges.iter().copied());
         let a = defaults.estimate();
-        let mut tiny = ShardedGps::with_config(
+        let mut tiny = ShardedGps::launch(
             EngineConfig {
                 batch: 3,
                 queue: 1,
                 ..EngineConfig::new(50, 2, 2)
             },
             TriangleWeight::default(),
+            Launch::default(),
         );
         tiny.push_stream(edges.iter().copied());
         let b = tiny.estimate();
@@ -1659,12 +1609,13 @@ mod tests {
         let mut plain = ShardedGps::new(50, TriangleWeight::default(), 2, 2);
         plain.push_stream(edges.iter().copied());
         let a = plain.estimate();
-        let mut ckpt = ShardedGps::with_config(
+        let mut ckpt = ShardedGps::launch(
             EngineConfig {
                 checkpoint_every: 16,
                 ..EngineConfig::new(50, 2, 2)
             },
             TriangleWeight::default(),
+            Launch::default(),
         );
         ckpt.push_stream(edges.iter().copied());
         let b = ckpt.estimate();
@@ -1681,10 +1632,10 @@ mod tests {
         let edges = clique_chunks(60);
         let mut bare = gps_core::InStreamEstimator::new(30, TriangleWeight::default(), 13);
         bare.process_stream(edges.iter().copied());
-        let mut engine = ShardedGps::with_estimation(
+        let mut engine = ShardedGps::launch(
             EngineConfig::new(30, 1, 13),
             TriangleWeight::default(),
-            None,
+            in_stream(None),
         );
         engine.push_stream(edges.iter().copied());
         let merged = engine.estimate_in_stream();
@@ -1712,10 +1663,10 @@ mod tests {
         let mut plain = ShardedGps::new(40, TriangleWeight::default(), 5, 3);
         plain.push_stream(edges.iter().copied());
         let a = plain.estimate();
-        let mut live = ShardedGps::with_estimation(
+        let mut live = ShardedGps::launch(
             EngineConfig::new(40, 3, 5),
             TriangleWeight::default(),
-            None,
+            in_stream(None),
         );
         live.push_stream(edges.iter().copied());
         let b = live.estimate();
@@ -1737,14 +1688,14 @@ mod tests {
         let reports: Arc<Mutex<Vec<ShardReport>>> = Arc::default();
         let sink = reports.clone();
         let hook: EpochHook = Arc::new(move |r| sink.lock().unwrap().push(r));
-        let mut engine = ShardedGps::with_estimation(
+        let mut engine = ShardedGps::launch(
             EngineConfig {
                 batch: 16,
                 epoch_every: 32,
                 ..EngineConfig::new(50, 2, 3)
             },
             TriangleWeight::default(),
-            Some(hook),
+            in_stream(Some(hook)),
         );
         let edges = clique_chunks(100);
         engine.push_stream(edges.iter().copied());
@@ -1783,7 +1734,7 @@ mod tests {
             batch: 4,
             ..EngineConfig::new(32, 2, 9)
         };
-        let mut engine = ShardedGps::with_config_and_faults(cfg, UniformWeight, plan);
+        let mut engine = ShardedGps::launch(cfg, UniformWeight, faulted(plan));
         let mut seen = None;
         for e in clique_chunks(100) {
             if let Err(err) = engine.try_push(e) {
@@ -1823,8 +1774,7 @@ mod tests {
                 checkpoint_every: 64,
                 ..EngineConfig::new(48, 2, 21)
             };
-            let mut engine =
-                ShardedGps::with_config_and_faults(cfg, TriangleWeight::default(), plan);
+            let mut engine = ShardedGps::launch(cfg, TriangleWeight::default(), faulted(plan));
             engine.push_stream(clique_chunks(200));
             engine.finish();
             let health = engine.health().clone();
@@ -1864,25 +1814,26 @@ mod tests {
     #[test]
     fn degraded_estimates_widen_but_keep_values() {
         let baseline = {
-            let mut engine = ShardedGps::with_config(
+            let mut engine = ShardedGps::launch(
                 EngineConfig {
                     batch: 16,
                     checkpoint_every: 64,
                     ..EngineConfig::new(48, 2, 21)
                 },
                 TriangleWeight::default(),
+                Launch::default(),
             );
             engine.push_stream(clique_chunks(200));
             engine.estimate()
         };
-        let mut engine = ShardedGps::with_config_and_faults(
+        let mut engine = ShardedGps::launch(
             EngineConfig {
                 batch: 16,
                 checkpoint_every: 64,
                 ..EngineConfig::new(48, 2, 21)
             },
             TriangleWeight::default(),
-            FaultPlan::new().panic_at(0, 120),
+            faulted(FaultPlan::new().panic_at(0, 120)),
         );
         engine.push_stream(clique_chunks(200));
         let est = engine.estimate();
@@ -1904,7 +1855,7 @@ mod tests {
             push_timeout: Some(Duration::from_millis(30)),
             ..EngineConfig::new(8, 1, 3)
         };
-        let mut engine = ShardedGps::with_config_and_faults(cfg, UniformWeight, plan);
+        let mut engine = ShardedGps::launch(cfg, UniformWeight, faulted(plan));
         // S = 1: every edge hits the stalled shard. The first edge puts the
         // worker to sleep, the next fills the queue, then backpressure.
         let mut hit = false;
@@ -1940,7 +1891,7 @@ mod tests {
             finish_timeout: Some(Duration::from_millis(250)),
             ..EngineConfig::new(48, 2, 17)
         };
-        let mut engine = ShardedGps::with_config_and_faults(cfg, TriangleWeight::default(), plan);
+        let mut engine = ShardedGps::launch(cfg, TriangleWeight::default(), faulted(plan));
         for e in clique_chunks(120) {
             // The stalled shard may backpressure; every unshipped edge is
             // accounted as lost at finish, so ignoring the error is safe.
@@ -1973,7 +1924,7 @@ mod tests {
             checkpoint_every: 32,
             ..EngineConfig::new(48, 2, 23)
         };
-        let mut engine = ShardedGps::with_config_and_faults(cfg, TriangleWeight::default(), plan);
+        let mut engine = ShardedGps::launch(cfg, TriangleWeight::default(), faulted(plan));
         engine.push_stream(clique_chunks(150));
         engine.finish();
         let inc = engine

@@ -10,13 +10,12 @@
 //! recovery semantics (and estimator unbiasedness after recovery) with
 //! exact assertions instead of sleeps and tolerances.
 //!
-//! Plans are built fluently and handed to
-//! [`ShardedGps::with_config_and_faults`](crate::ShardedGps::with_config_and_faults)
-//! or
-//! [`ShardedGps::with_estimation_and_faults`](crate::ShardedGps::with_estimation_and_faults):
+//! Plans are built fluently and handed to the engine's one constructor,
+//! [`ShardedGps::launch`](crate::ShardedGps::launch), as
+//! [`Launch::faults`](crate::Launch::faults):
 //!
 //! ```
-//! use gps_engine::{EngineConfig, FaultPlan, ShardedGps};
+//! use gps_engine::{EngineConfig, FaultPlan, Launch, ShardedGps};
 //! use gps_core::UniformWeight;
 //! use gps_graph::Edge;
 //!
@@ -25,7 +24,11 @@
 //!     checkpoint_every: 16,
 //!     ..EngineConfig::new(16, 2, 7)
 //! };
-//! let mut engine = ShardedGps::with_config_and_faults(cfg, UniformWeight, plan);
+//! let launch = Launch {
+//!     faults: Some(plan),
+//!     ..Launch::default()
+//! };
+//! let mut engine = ShardedGps::launch(cfg, UniformWeight, launch);
 //! for i in 0..200u32 {
 //!     engine.push(Edge::new(i, i + 1));
 //! }

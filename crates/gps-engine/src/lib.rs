@@ -46,9 +46,10 @@
 //!
 //! ## In-stream estimation inside the engine
 //!
-//! [`ShardedGps::with_estimation`] puts the paper's Algorithm 3 *inside*
-//! each worker: every shard runs an `InStreamEstimator` over its substream,
-//! so the lower-variance snapshot estimates are available sharded
+//! [`ShardedGps::launch`] with [`Estimation::InStream`] puts the paper's
+//! Algorithm 3 *inside* each worker: every shard runs an
+//! `InStreamEstimator` over its substream, so the lower-variance snapshot
+//! estimates are available sharded
 //! ([`ShardedGps::estimate_in_stream`]) — the merge argument is identical,
 //! since a shard's in-stream estimate is unbiased for the same
 //! monochromatic counts its post-stream estimate targets. Workers
@@ -64,7 +65,9 @@
 //! shard (`v2` with in-stream accumulators in estimating mode, `v1`
 //! otherwise) — so sharded reference samples outlive the process like
 //! single-reservoir ones do, and a restored serving engine resumes its
-//! in-stream estimates **exactly** ([`snapshot`]).
+//! in-stream estimates **exactly** ([`snapshot`]). Restoring goes through
+//! the same constructor as starting fresh: [`ShardedGps::launch`] with
+//! [`Launch::resume`] set.
 //!
 //! ## Fault tolerance
 //!
@@ -92,8 +95,8 @@ pub mod shard;
 pub mod snapshot;
 
 pub use engine::{
-    EngineConfig, EngineError, EngineHealth, EpochHook, PushError, ShardIncident, ShardReport,
-    ShardedGps, DEFAULT_EPOCH_EVERY,
+    EngineConfig, EngineError, EngineHealth, EpochHook, Estimation, Launch, PushError,
+    ShardIncident, ShardReport, ShardedGps, DEFAULT_EPOCH_EVERY,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use partition::{shard_seed, EdgePartitioner};

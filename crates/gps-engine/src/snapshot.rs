@@ -35,19 +35,23 @@
 //! post-stream estimate. (This is also the substrate the engine's crash
 //! checkpoints are built on; see the `gps-engine` crate docs.)
 //!
-//! Like `GpsSampler::restore`, a restored engine estimates identically to
-//! the original (up to float summation order from adjacency rebuild) and
-//! may keep consuming the stream with fresh — statistically equivalent —
-//! RNG draws.
+//! A [`SavedEngine`] becomes a running engine again through the one
+//! constructor, [`ShardedGps::launch`] with
+//! [`Launch::resume`](crate::Launch::resume) set. The snapshot supplies the
+//! samplers, the in-stream states and the stream position; the caller's
+//! [`EngineConfig`] supplies everything else (checkpointing, cadences,
+//! timeouts), and must name the snapshot's seed, capacity and shard count.
+//! Like `GpsSampler::restore`, a restored engine
+//! estimates identically to the original (up to float summation order from
+//! adjacency rebuild) and may keep consuming the stream with fresh —
+//! statistically equivalent — RNG draws.
 
-use crate::engine::{EngineConfig, ShardedGps, WorkerMode};
+use crate::engine::{EngineConfig, ShardedGps};
 use crate::partition::shard_seed;
 use gps_core::persist::{self, PersistError, SavedSample};
 use gps_core::weights::EdgeWeight;
-use gps_core::GpsSampler;
-use gps_telemetry::Registry;
+use gps_core::{GpsSampler, InStreamState};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::sync::Arc;
 
 /// Magic first line of the engine container format.
 const MAGIC: &str = "gps-engine v1";
@@ -91,119 +95,46 @@ impl SavedEngine {
         self.shards.iter().map(|s| s.arrivals).sum()
     }
 
-    /// Rebuilds a running engine (workers spawned, ready for more stream)
-    /// from the saved state. The weight
-    /// function matters only if the engine keeps consuming the stream —
-    /// stored weights are what estimation reads.
+    /// The per-shard samplers and in-stream states of an engine resumed
+    /// on `cfg` (see [`Launch::resume`](crate::Launch::resume)).
     ///
     /// # Panics
-    /// Panics if the saved state is inconsistent (no shards, shard budgets
-    /// not summing to `capacity`, or invalid per-shard records — see
-    /// `GpsSampler::restore`).
-    pub fn into_engine<W: EdgeWeight + Clone + Send + 'static>(
+    /// Panics if the snapshot's seed, capacity or shard count differs from
+    /// `cfg`'s, if its shard budgets do not sum to its capacity, or on
+    /// invalid per-shard records (see `GpsSampler::restore`).
+    pub(crate) fn restore<W: EdgeWeight + Clone>(
         self,
-        weight_fn: W,
-    ) -> ShardedGps<W> {
-        self.relaunch(weight_fn, WorkerMode::Plain)
-    }
-
-    /// Rebuilds a running engine in **in-stream estimating** mode (see
-    /// [`ShardedGps::with_estimation`]): each worker wraps its restored
-    /// sampler in an `InStreamEstimator` — resumed *exactly* from the
-    /// saved accumulators when the snapshot carries `gps-sample v2`
-    /// sections, seeded from the sample's post-stream estimate otherwise —
-    /// so live estimates continue from the saved
-    /// state instead of restarting at zero, and `hook` resumes receiving
-    /// [`ShardReport`]s (`gps-serve` uses this to keep a `QueryHandle`'s
-    /// epochs flowing across a snapshot/restore cycle).
-    ///
-    /// [`ShardReport`]: crate::engine::ShardReport
-    ///
-    /// # Panics
-    /// Same conditions as [`SavedEngine::into_engine`].
-    pub fn into_serving_engine<W: EdgeWeight + Clone + Send + 'static>(
-        self,
-        weight_fn: W,
-        hook: Option<crate::engine::EpochHook>,
-        epoch_every: u64,
-    ) -> ShardedGps<W> {
-        self.into_serving_engine_on_registry(
-            weight_fn,
-            hook,
-            epoch_every,
-            Arc::new(Registry::new()),
-        )
-    }
-
-    /// [`SavedEngine::into_serving_engine`] with the restored engine's
-    /// metrics registered on a **caller-supplied** telemetry registry (see
-    /// [`ShardedGps::with_estimation_on_registry`]): `gps-serve` passes the
-    /// board's registry so engine counters stay cumulative across the
-    /// snapshot/restore cycle instead of restarting on a private registry.
-    ///
-    /// # Panics
-    /// Same conditions as [`SavedEngine::into_engine`].
-    pub fn into_serving_engine_on_registry<W: EdgeWeight + Clone + Send + 'static>(
-        self,
-        weight_fn: W,
-        hook: Option<crate::engine::EpochHook>,
-        epoch_every: u64,
-        registry: Arc<Registry>,
-    ) -> ShardedGps<W> {
-        self.relaunch_with(
-            weight_fn,
-            WorkerMode::Estimating(hook),
-            epoch_every,
-            registry,
-        )
-    }
-
-    fn relaunch<W: EdgeWeight + Clone + Send + 'static>(
-        self,
-        weight_fn: W,
-        mode: WorkerMode,
-    ) -> ShardedGps<W> {
-        self.relaunch_with(
-            weight_fn,
-            mode,
-            crate::engine::DEFAULT_EPOCH_EVERY,
-            Arc::new(Registry::new()),
-        )
-    }
-
-    fn relaunch_with<W: EdgeWeight + Clone + Send + 'static>(
-        self,
-        weight_fn: W,
-        mode: WorkerMode,
-        epoch_every: u64,
-        registry: Arc<Registry>,
-    ) -> ShardedGps<W> {
-        assert!(!self.shards.is_empty(), "engine snapshot has no shards");
+        cfg: &EngineConfig,
+        weight_fn: &W,
+    ) -> Vec<(GpsSampler<W>, Option<InStreamState>)> {
+        for (field, saved, config) in [
+            ("seed", self.seed, cfg.seed),
+            ("capacity", self.capacity as u64, cfg.capacity as u64),
+            ("shards", self.shards.len() as u64, cfg.shards as u64),
+        ] {
+            assert!(
+                saved == config,
+                "snapshot {field} {saved} does not match config {field} {config}"
+            );
+        }
         let total: usize = self.shards.iter().map(|s| s.capacity).sum();
         assert_eq!(
             total, self.capacity,
             "shard budgets sum to {total}, header declares {}",
             self.capacity
         );
-        let pushed = self.pushed();
-        let mut cfg = EngineConfig::new(self.capacity, self.shards.len(), self.seed);
-        cfg.epoch_every = epoch_every;
-        let mut samplers = Vec::with_capacity(self.shards.len());
-        let mut states = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.into_iter().enumerate() {
-            samplers.push(GpsSampler::restore(
+        let shards = self.shards.into_iter().enumerate().map(|(i, shard)| {
+            let sampler = GpsSampler::restore(
                 shard.capacity,
                 weight_fn.clone(),
                 shard_seed(cfg.seed, i),
                 shard.threshold,
                 shard.arrivals,
                 shard.records,
-            ));
-            states.push(shard.in_stream);
-        }
-        let mut engine = ShardedGps::launch(cfg, weight_fn, samplers, states, mode, None, registry);
-        engine.set_pushed(pushed);
-        engine
+            );
+            (sampler, shard.in_stream)
+        });
+        shards.collect()
     }
 }
 
@@ -315,7 +246,7 @@ pub fn load_engine<R: Read>(reader: R) -> Result<SavedEngine, PersistError> {
         shards.push(persist::load_section(&mut body)?);
     }
     // Validate the header/body consistency here, so corrupt files error at
-    // load time instead of panicking later in `into_engine`.
+    // load time instead of panicking later on resume.
     let total: usize = shards.iter().map(|s| s.capacity).sum();
     if total != capacity {
         return Err(parse_err(&format!(
@@ -337,6 +268,7 @@ pub fn load_engine_file<P: AsRef<std::path::Path>>(path: P) -> Result<SavedEngin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Estimation, Launch};
     use gps_core::weights::{TriangleWeight, UniformWeight};
     use gps_graph::types::Edge;
 
@@ -351,6 +283,22 @@ mod tests {
         engine.push_stream(edges);
         engine.finish();
         engine
+    }
+
+    /// Resumes `saved` on the default config of its own seed, capacity
+    /// and shard count.
+    fn resume<W: EdgeWeight + Clone + Send + 'static>(
+        saved: SavedEngine,
+        weight_fn: W,
+        estimation: Estimation,
+    ) -> ShardedGps<W> {
+        let cfg = EngineConfig::new(saved.capacity, saved.shards.len(), saved.seed);
+        let launch = Launch {
+            estimation,
+            resume: Some(saved),
+            ..Launch::default()
+        };
+        ShardedGps::launch(cfg, weight_fn, launch)
     }
 
     #[test]
@@ -376,9 +324,8 @@ mod tests {
         let original = engine.estimate();
         let mut buf = Vec::new();
         engine.save(&mut buf).unwrap();
-        let mut restored = load_engine(buf.as_slice())
-            .unwrap()
-            .into_engine(UniformWeight);
+        let saved = load_engine(buf.as_slice()).unwrap();
+        let mut restored = resume(saved, UniformWeight, Estimation::PostStream);
         let again = restored.estimate();
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + a.abs().max(b.abs()));
         assert!(close(original.triangles.value, again.triangles.value));
@@ -392,9 +339,8 @@ mod tests {
         let mut engine = loaded_engine();
         let mut buf = Vec::new();
         engine.save(&mut buf).unwrap();
-        let mut restored = load_engine(buf.as_slice())
-            .unwrap()
-            .into_engine(TriangleWeight::default());
+        let saved = load_engine(buf.as_slice()).unwrap();
+        let mut restored = resume(saved, TriangleWeight::default(), Estimation::PostStream);
         assert_eq!(restored.pushed(), engine.pushed());
         // Re-push every edge the original engine sampled: all must be
         // recognized as duplicates, which requires the rebuilt partition
@@ -413,11 +359,14 @@ mod tests {
 
     #[test]
     fn serving_round_trip_resumes_in_stream_estimates_exactly() {
-        use crate::engine::EngineConfig;
-        let mut engine = ShardedGps::with_estimation(
+        let launch = Launch {
+            estimation: Estimation::InStream(None),
+            ..Launch::default()
+        };
+        let mut engine = ShardedGps::launch(
             EngineConfig::new(24, 3, 9),
             TriangleWeight::default(),
-            None,
+            launch,
         );
         let mut edges = vec![];
         for base in 0..40u32 {
@@ -434,11 +383,7 @@ mod tests {
         // Estimating engines write v2 sections: every shard carries its
         // in-stream accumulator state.
         assert!(saved.shards.iter().all(|s| s.in_stream.is_some()));
-        let mut restored = saved.into_serving_engine(
-            TriangleWeight::default(),
-            None,
-            crate::engine::DEFAULT_EPOCH_EVERY,
-        );
+        let mut restored = resume(saved, TriangleWeight::default(), Estimation::InStream(None));
         // Exact resume: at the save watermark the restored engine's
         // in-stream estimates are bit-identical to the original's — the
         // accumulators were restored, not re-seeded from the post-stream
@@ -554,6 +499,35 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert!(load_engine(no_crc.as_bytes()).is_ok());
+    }
+
+    /// Resumes a snapshot of the 24-edge, 3-shard, seed-9 engine on `cfg`.
+    fn resume_on(cfg: EngineConfig) {
+        let mut buf = Vec::new();
+        loaded_engine().save(&mut buf).unwrap();
+        let launch = Launch {
+            resume: Some(load_engine(buf.as_slice()).unwrap()),
+            ..Launch::default()
+        };
+        let _ = ShardedGps::launch(cfg, UniformWeight, launch);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot seed 9 does not match config seed 8")]
+    fn resume_rejects_a_config_with_another_seed() {
+        resume_on(EngineConfig::new(24, 3, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot capacity 24 does not match config capacity 30")]
+    fn resume_rejects_a_config_with_another_capacity() {
+        resume_on(EngineConfig::new(30, 3, 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot shards 3 does not match config shards 2")]
+    fn resume_rejects_a_config_with_another_shard_count() {
+        resume_on(EngineConfig::new(24, 2, 9));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! No panic, no `Ok` carrying different state.
 
 use gps_core::weights::TriangleWeight;
-use gps_engine::{load_engine, EngineConfig, ShardedGps};
+use gps_engine::{load_engine, EngineConfig, Estimation, Launch, ShardedGps};
 use gps_graph::types::Edge;
 use proptest::prelude::*;
 
@@ -27,11 +27,16 @@ fn arb_stream(max_n: u32, max_m: usize) -> impl Strategy<Value = Vec<Edge>> {
 /// the same corruption guarantees as v1.
 fn saved_bytes(stream: &[Edge], capacity: usize, shards: usize, seed: u64, live: bool) -> Vec<u8> {
     let cfg = EngineConfig::new(capacity, shards, seed);
-    let mut engine = if live {
-        ShardedGps::with_estimation(cfg, TriangleWeight::default(), None)
+    let estimation = if live {
+        Estimation::InStream(None)
     } else {
-        ShardedGps::with_config(cfg, TriangleWeight::default())
+        Estimation::PostStream
     };
+    let launch = Launch {
+        estimation,
+        ..Launch::default()
+    };
+    let mut engine = ShardedGps::launch(cfg, TriangleWeight::default(), launch);
     engine.push_stream(stream.iter().copied());
     let mut buf = Vec::new();
     engine.save(&mut buf).expect("saving to a Vec cannot fail");

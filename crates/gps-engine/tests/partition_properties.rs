@@ -18,7 +18,7 @@
 //!   end-to-end against per-shard arrival ledgers.
 
 use gps_core::weights::UniformWeight;
-use gps_engine::{load_engine, EdgePartitioner, EngineConfig, ShardedGps};
+use gps_engine::{load_engine, EdgePartitioner, EngineConfig, Launch, ShardedGps};
 use gps_graph::types::Edge;
 
 /// `splitmix64` (same constants as the partitioner's, but used here as a
@@ -121,8 +121,8 @@ fn restored_engine_routes_subsequent_edges_identically() {
         let before = uniform_stream(6_000, seed ^ 0xAA);
         let after = zipf_stream(2_000, 6_000, 1.0, seed ^ 0xBB);
 
-        let mut engine =
-            ShardedGps::with_config(EngineConfig::new(4_096, shards, seed), UniformWeight);
+        let cfg = EngineConfig::new(4_096, shards, seed);
+        let mut engine = ShardedGps::launch(cfg, UniformWeight, Launch::default());
         engine.push_stream(before.iter().copied());
         let mut saved_bytes = Vec::new();
         engine.save(&mut saved_bytes).expect("save");
@@ -140,7 +140,11 @@ fn restored_engine_routes_subsequent_edges_identically() {
         let saved = load_engine(saved_bytes.as_slice()).expect("load");
         assert_eq!(saved.seed, seed);
         assert_eq!(saved.shards.len(), shards);
-        let mut restored = saved.into_engine(UniformWeight);
+        let launch = Launch {
+            resume: Some(saved),
+            ..Launch::default()
+        };
+        let mut restored = ShardedGps::launch(cfg, UniformWeight, launch);
         restored.push_stream(after.iter().copied());
         restored.finish();
         for &e in &after {

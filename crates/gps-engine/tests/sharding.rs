@@ -9,7 +9,7 @@
 
 use gps_core::weights::{EdgeWeight, TriangleWeight, UniformWeight};
 use gps_core::{post_stream, GpsSampler};
-use gps_engine::{EngineConfig, ShardedGps};
+use gps_engine::{EngineConfig, Launch, ShardedGps};
 use gps_graph::types::Edge;
 use proptest::prelude::*;
 
@@ -34,13 +34,11 @@ fn assert_single_shard_matches_bare<W: EdgeWeight + Clone + Send + 'static>(
     let mut bare = GpsSampler::new(capacity, weight_fn.clone(), seed);
     bare.process_stream(stream.iter().copied());
 
-    let mut engine = ShardedGps::with_config(
-        EngineConfig {
-            batch,
-            ..EngineConfig::new(capacity, 1, seed)
-        },
-        weight_fn,
-    );
+    let cfg = EngineConfig {
+        batch,
+        ..EngineConfig::new(capacity, 1, seed)
+    };
+    let mut engine = ShardedGps::launch(cfg, weight_fn, Launch::default());
     engine.push_stream(stream.iter().copied());
     let engine_est = engine.estimate();
     let shard = &engine.samplers()[0];
@@ -118,10 +116,8 @@ proptest! {
     ) {
         let capacity = 16 * shards;
         let run = |batch: usize| {
-            let mut engine = ShardedGps::with_config(
-                EngineConfig { batch, ..EngineConfig::new(capacity, shards, seed) },
-                TriangleWeight::default(),
-            );
+            let cfg = EngineConfig { batch, ..EngineConfig::new(capacity, shards, seed) };
+            let mut engine = ShardedGps::launch(cfg, TriangleWeight::default(), Launch::default());
             engine.push_stream(stream.iter().copied());
             let est = engine.estimate();
             let mut edges: Vec<(usize, Edge)> = engine

@@ -7,7 +7,9 @@ use crate::scrape::ScrapeServer;
 use gps_core::weights::EdgeWeight;
 use gps_core::TriadEstimates;
 use gps_engine::snapshot::SavedEngine;
-use gps_engine::{EngineConfig, EngineHealth, EpochHook, FaultPlan, ShardedGps};
+use gps_engine::{
+    EngineConfig, EngineHealth, EpochHook, Estimation, FaultPlan, Launch, ShardedGps,
+};
 use gps_graph::types::Edge;
 use gps_telemetry::{EpochTrace, Registry, TelemetrySnapshot};
 use std::net::SocketAddr;
@@ -103,7 +105,7 @@ impl<W: EdgeWeight + Clone + Send + 'static> ServeEngine<W> {
     /// Creates a serving engine from an explicit [`ServeConfig`].
     ///
     /// # Panics
-    /// Same conditions as [`ShardedGps::with_config`].
+    /// Same conditions as [`ShardedGps::launch`] on a fresh engine.
     pub fn with_config(cfg: ServeConfig, weight_fn: W) -> Self {
         Self::build(cfg, weight_fn, None)
     }
@@ -111,47 +113,29 @@ impl<W: EdgeWeight + Clone + Send + 'static> ServeEngine<W> {
     /// [`ServeEngine::with_config`] with a scripted [`FaultPlan`] injected
     /// into the wrapped engine — the serving-layer entry point of the
     /// deterministic chaos harness. The plan's panics, stalls, slowdowns,
-    /// and checkpoint corruptions hit the shard workers exactly as in
-    /// [`ShardedGps::with_estimation_and_faults`]; combined with
+    /// and checkpoint corruptions hit the shard workers exactly as
+    /// [`Launch::faults`] does on a bare engine; combined with
     /// [`ServeConfig::gate_timeout`] this is how the degraded-epoch path
     /// is driven under test.
     ///
     /// # Panics
-    /// Same conditions as [`ShardedGps::with_config`].
+    /// Same conditions as [`ShardedGps::launch`] on a fresh engine.
     pub fn with_config_and_faults(cfg: ServeConfig, weight_fn: W, faults: FaultPlan) -> Self {
         Self::build(cfg, weight_fn, Some(faults))
     }
 
-    /// Shared construction: one telemetry registry carries both the
-    /// board's serve metrics and the engine's, so a single snapshot covers
-    /// the whole stack. The board exists first (the epoch hook needs it),
-    /// then the engine registers onto the same registry, and finally the
-    /// engine's lost-arrivals counter is attached so epochs stamp it —
-    /// launch-time reports racing the attach all carry zero loss (losses
-    /// require pushed arrivals, which follow construction).
     fn build(cfg: ServeConfig, weight_fn: W, faults: Option<FaultPlan>) -> Self {
-        let registry = Arc::new(Registry::new());
         let board = Arc::new(Board::with_registry(
             cfg.engine.shards,
             cfg.gate_timeout,
             Clock::new(cfg.clock),
-            registry.clone(),
+            Arc::new(Registry::new()),
         ));
-        let hook = Self::hook_for(&board, board.generation());
-        let engine = ShardedGps::with_estimation_on_registry(
-            cfg.engine,
-            weight_fn,
-            Some(hook),
+        let launch = Launch {
             faults,
-            registry,
-        );
-        board.attach_lost_counter(engine.lost_arrivals_counter());
-        ServeEngine {
-            engine,
-            board,
-            subscribe_depth: cfg.subscribe_depth,
-            scrape: None,
-        }
+            ..Launch::default()
+        };
+        Self::start(board, cfg.engine, weight_fn, launch, cfg.subscribe_depth)
     }
 
     /// Resumes serving from a saved engine snapshot **onto an existing
@@ -172,42 +156,61 @@ impl<W: EdgeWeight + Clone + Send + 'static> ServeEngine<W> {
     /// accepted report generation. Subscriptions ended when the previous
     /// engine finished; re-subscribe on the handle.
     ///
-    /// `epoch_every` is the resumed publication cadence — the snapshot
-    /// does not record it, so pass the one your `ServeConfig` used
-    /// ([`gps_engine::DEFAULT_EPOCH_EVERY`] is the default-config value).
+    /// `engine` configures the resumed engine exactly as
+    /// [`ServeConfig::engine`] configures a fresh one — publication
+    /// cadence, checkpointing, timeouts and restart budget all come from
+    /// it, since the snapshot records none of them. Its seed, capacity and
+    /// shard count must be the snapshot's.
     ///
     /// # Panics
-    /// Panics if the handle's previous engine has not finished, or on an
-    /// inconsistent snapshot (see [`SavedEngine::into_engine`]).
+    /// Panics if the handle's previous engine has not finished, or if the
+    /// snapshot does not match `engine` or is inconsistent (see
+    /// [`ShardedGps::launch`]).
     pub fn resume(
         saved: SavedEngine,
         weight_fn: W,
-        epoch_every: u64,
+        engine: EngineConfig,
         handle: &QueryHandle,
     ) -> Self {
         let board = handle.board.clone();
-        let generation = board.reopen(saved.shards.len());
-        // Resume onto the board's registry: idempotent registration hands
-        // the restored engine the same counters, so the telemetry ledgers
-        // stay cumulative across the snapshot/restore cycle.
-        let engine = saved.into_serving_engine_on_registry(
-            weight_fn,
-            Some(Self::hook_for(&board, generation)),
-            epoch_every,
-            board.telemetry_registry(),
-        );
+        board.reopen(engine.shards);
+        let launch = Launch {
+            resume: Some(saved),
+            ..Launch::default()
+        };
+        Self::start(board, engine, weight_fn, launch, handle.subscribe_depth)
+    }
+
+    /// Shared construction: the engine's workers estimate in-stream and
+    /// publish into `board` at its current generation, and its metrics register on
+    /// the board's telemetry registry, so a single snapshot covers the
+    /// whole stack — and, on resume, idempotent registration hands the
+    /// restored engine the same counters, keeping the ledgers cumulative.
+    /// The engine's lost-arrivals counter is attached last so epochs stamp
+    /// it; launch-time reports racing the attach all carry zero loss
+    /// (losses require pushed arrivals, which follow construction).
+    fn start(
+        board: Arc<Board>,
+        cfg: EngineConfig,
+        weight_fn: W,
+        launch: Launch,
+        subscribe_depth: usize,
+    ) -> Self {
+        let (publisher, generation) = (board.clone(), board.generation());
+        let hook: EpochHook = Arc::new(move |report| publisher.publish_report(generation, report));
+        let launch = Launch {
+            estimation: Estimation::InStream(Some(hook)),
+            registry: Some(board.telemetry_registry()),
+            ..launch
+        };
+        let engine = ShardedGps::launch(cfg, weight_fn, launch);
         board.attach_lost_counter(engine.lost_arrivals_counter());
         ServeEngine {
             engine,
             board,
-            subscribe_depth: handle.subscribe_depth,
+            subscribe_depth,
             scrape: None,
         }
-    }
-
-    fn hook_for(board: &Arc<Board>, generation: u64) -> EpochHook {
-        let board = board.clone();
-        Arc::new(move |report| board.publish_report(generation, report))
     }
 
     /// A cheap, cloneable query handle onto this engine's epoch stream.

@@ -5,6 +5,7 @@
 
 use gps_core::weights::TriangleWeight;
 use gps_engine::snapshot::load_engine;
+use gps_engine::EngineConfig;
 use gps_graph::types::Edge;
 use gps_serve::{EstimateEpoch, ServeEngine};
 
@@ -50,7 +51,7 @@ fn epochs_stay_monotone_across_save_and_restore() {
     let mut resumed = ServeEngine::resume(
         saved,
         TriangleWeight::default(),
-        gps_engine::DEFAULT_EPOCH_EVERY,
+        EngineConfig::new(600, 3, 17),
         &handle,
     );
     assert!(!handle.is_closed());
@@ -109,7 +110,7 @@ fn resume_requires_a_finished_predecessor() {
         ServeEngine::resume(
             saved,
             TriangleWeight::default(),
-            gps_engine::DEFAULT_EPOCH_EVERY,
+            EngineConfig::new(16, 2, 1),
             &handle,
         )
     });
@@ -139,7 +140,7 @@ fn waiters_on_the_resumed_generation_see_the_combined_watermark() {
     let mut resumed = ServeEngine::resume(
         saved,
         TriangleWeight::default(),
-        gps_engine::DEFAULT_EPOCH_EVERY,
+        EngineConfig::new(30, 2, 3),
         &handle,
     );
     let waiter = {
@@ -153,4 +154,37 @@ fn waiters_on_the_resumed_generation_see_the_combined_watermark() {
         .unwrap()
         .expect("restored stream reaches target");
     assert!(epoch.edges_seen >= target);
+}
+
+#[test]
+fn resumed_engine_runs_on_the_callers_config() {
+    // The snapshot records samples, not settings: a resume with
+    // checkpointing on must checkpoint, even though the saved engine ran
+    // without it.
+    let mut serve = ServeEngine::new(30, TriangleWeight::default(), 3, 2);
+    let handle = serve.handle();
+    serve.push_stream(triangle_stream(0, 40));
+    let mut buf = Vec::new();
+    serve.save(&mut buf).unwrap();
+    let checkpoints = |serve: &ServeEngine<TriangleWeight>| {
+        serve
+            .telemetry()
+            .counter_value("gps_engine_checkpoints_total")
+            .unwrap()
+    };
+    assert_eq!(checkpoints(&serve), 0);
+
+    let cfg = EngineConfig {
+        batch: 8,
+        checkpoint_every: 16,
+        ..EngineConfig::new(30, 2, 3)
+    };
+    let saved = load_engine(buf.as_slice()).unwrap();
+    let mut resumed = ServeEngine::resume(saved, TriangleWeight::default(), cfg, &handle);
+    resumed.push_stream(triangle_stream(40, 80));
+    resumed.finish();
+    assert!(
+        checkpoints(&resumed) > 0,
+        "checkpoint_every must reach the resumed engine"
+    );
 }
