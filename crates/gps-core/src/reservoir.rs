@@ -343,8 +343,9 @@ impl<W: EdgeWeight> GpsSampler<W> {
     /// Adjacency pre-sized for the most it ever holds: `capacity + 1`
     /// edges, because a replacement inserts the arriving edge before it
     /// removes the evicted one (the slab and heap never exceed `capacity`),
-    /// hence at most `2 * (capacity + 1)` incident nodes — sizing for that
-    /// up front kills rehash churn during reservoir fill.
+    /// hence at most `2 * (capacity + 1)` incident nodes. That bound sizes
+    /// the slot table, spill pool and presence filter; the node-interning
+    /// index is not pre-sized: it grows with the nodes actually sampled.
     fn sized_adjacency(capacity: usize) -> CompactAdjacency<SlotId> {
         CompactAdjacency::with_capacity(2 * (capacity + 1), capacity + 1)
     }

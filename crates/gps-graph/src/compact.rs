@@ -12,11 +12,15 @@
 //!    the sampler's `u32` values, with no enum tag — so for the typical
 //!    low-degree node one resolution answers degree, membership and
 //!    iteration. (A reservoir sample is mostly degree-1 nodes, which is why
-//!    the inline cap is 2.) An open-addressed table holding the payload
-//!    directly was tried and measured *slower*: inflating the slots across
-//!    a sparse power-of-two table costs more cache than the tiny 8-byte
-//!    id→index map saves. Slot indices are stable for a node's lifetime —
-//!    see [`EdgeHints`].
+//!    the inline cap is 2.) The id → index map is a private open-addressed
+//!    table of 8-byte `(id, slot + 1)` buckets: linear probing from a
+//!    Fibonacci hash, backward-shift deletion (no tombstones), doubling past
+//!    4/5 load from a 16-bucket start and never shrinking, so its size
+//!    follows the live-node peak, not the construction-time capacity. An
+//!    open-addressed table holding the *payload* directly was tried and
+//!    measured *slower*: inflating the slots across a sparse power-of-two
+//!    table costs more cache than the 8-byte id→index buckets save. Slot
+//!    indices are stable for a node's lifetime — see [`EdgeHints`].
 //! 2. **Inline small-buffers with pool spill.** A list longer than the
 //!    inline cap moves to a power-of-two block carved from one shared pool
 //!    `Vec` (the block offset takes the first inline entry's place, the
@@ -47,15 +51,20 @@
 //! There is **no edge hash table at all**: `contains`/`get` resolve one
 //! endpoint and search its list (the slot fetch carries the inline list;
 //! longer sorted lists are binary-searched), and `edges()` sweeps the
-//! slot table. The only hash in the structure is the node-interning map,
-//! gated by the filter and bypassed on eviction via [`EdgeHints`].
+//! slot table. The only hash in the structure is the node-interning
+//! index, gated by the filter and bypassed on eviction via [`EdgeHints`];
+//! nothing iterates it, so its bucket order never reaches an output.
 //!
 //! This is the only adjacency representation a sampler runs on. The old
 //! [`crate::AdjacencyMap`] remains in-tree as the differential oracle
 //! (`tests/compact_differential.rs`).
 
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashSet;
 use crate::types::{Edge, NodeId};
+
+mod node_index;
+
+use node_index::NodeIndex;
 
 /// Neighbor entries stored inline in a node slot before spilling.
 pub const INLINE_NEIGHBORS: usize = 2;
@@ -209,7 +218,7 @@ impl<V: Copy> NodeSlot<V> {
 #[derive(Clone, Debug)]
 pub struct CompactAdjacency<V: Copy> {
     /// External node id → dense index into `slots`.
-    index_of: FxHashMap<NodeId, u32>,
+    index_of: NodeIndex,
     /// Live (degree > 0) nodes.
     live_nodes: usize,
     /// Interned node table; freed slots are recycled through `free_slots`.
@@ -246,13 +255,16 @@ impl<V: Copy> CompactAdjacency<V> {
     }
 
     /// Creates an empty graph pre-sized for roughly `nodes` distinct nodes
-    /// and `edges` edges, so steady-state operation never rehashes.
+    /// and `edges` edges: the slot table, spill pool and presence filter
+    /// are allocated up front. The node-interning index is not; it starts
+    /// small and doubles as live nodes arrive, so it is sized by the most
+    /// nodes the graph has held rather than by `nodes`.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         let filter_len = (nodes * FILTER_SLACK)
             .next_power_of_two()
             .max(MIN_FILTER_LEN);
         CompactAdjacency {
-            index_of: FxHashMap::with_capacity_and_hasher(nodes, Default::default()),
+            index_of: NodeIndex::new(),
             live_nodes: 0,
             slots: Vec::with_capacity(nodes),
             free_slots: Vec::new(),
@@ -847,7 +859,7 @@ impl<V: Copy> CompactAdjacency<V> {
     /// lazy-deletion variant with amortized purges was measured slower.)
     #[inline]
     fn probe_valid(&self, node: NodeId) -> Option<u32> {
-        self.index_of.get(&node).copied()
+        self.index_of.get(node)
     }
 
     /// Live neighbor entries of the node in `slots[idx]`.
@@ -896,7 +908,9 @@ impl<V: Copy> CompactAdjacency<V> {
     /// Rewrites the stored value on the `node → nbr` list entry; returns
     /// the node's slot index and the previous value.
     fn update_entry(&mut self, node: NodeId, nbr: NodeId, value: V) -> (u32, V) {
-        let idx = self.index_of[&node];
+        let idx = self
+            .probe_valid(node)
+            .unwrap_or_else(|| unreachable!("node {node} missing from the index"));
         (idx, self.update_entry_at(idx, nbr, value))
     }
 
@@ -912,7 +926,7 @@ impl<V: Copy> CompactAdjacency<V> {
     /// Interns `node`, creating a slot if needed. `fill` initializes fresh
     /// inline storage (any valid entry; it is overwritten before first read).
     fn intern(&mut self, node: NodeId, fill: (NodeId, V)) -> u32 {
-        if let Some(&idx) = self.index_of.get(&node) {
+        if let Some(idx) = self.lookup(node) {
             return idx;
         }
         if (self.live_nodes + 1) * FILTER_SLACK > self.node_filter.len() {
@@ -1024,7 +1038,7 @@ impl<V: Copy> CompactAdjacency<V> {
             // at INLINE_NEIGHBORS >= 1 entries), so no block is left behind;
             // `intern` resets the slot before it is reused.
             self.slots[idx].packed = 0;
-            self.index_of.remove(&node);
+            self.index_of.remove(node);
             self.live_nodes -= 1;
             self.filter_remove(node);
             self.free_slots.push(idx as u32);
@@ -1353,6 +1367,90 @@ mod tests {
         assert_eq!(seen, (0..10u32).map(|i| (i, i)).collect::<Vec<_>>());
         assert_eq!(g.neighbor_at(100, 10), None);
         assert_eq!(g.neighbor_at(999, 0), None, "unknown node has no neighbors");
+    }
+
+    #[test]
+    fn index_follows_the_live_node_peak_under_reservoir_churn() {
+        // A reservoir of 2,000 edges over 20x that many Holme–Kim arrivals
+        // (4 edges per node, triad probability 0.5), sized the way
+        // `GpsSampler` sizes it, evicting a random sampled edge per insert
+        // once full.
+        const CAP: usize = 2_000;
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        // Holme–Kim growth from a 5-clique: each new node makes 4 attempts,
+        // each a triad step (a random neighbor of the last attachee) with
+        // probability 1/2, else preferential attachment.
+        let mut graph: CompactAdjacency<()> = CompactAdjacency::new();
+        let mut stubs: Vec<NodeId> = Vec::new();
+        let mut stream: Vec<Edge> = Vec::new();
+        for a in 0..5 {
+            for b in a + 1..5 {
+                stream.push(Edge::new(a, b));
+                graph.insert(Edge::new(a, b), ());
+                stubs.extend([a, b]);
+            }
+        }
+        let mut v: NodeId = 5;
+        while stream.len() < 20 * CAP {
+            let mut last: Option<NodeId> = None;
+            for _ in 0..4 {
+                let target = match last {
+                    Some(anchor) if next(2) == 0 => {
+                        graph.neighbor_slice(anchor)[next(graph.degree(anchor))].0
+                    }
+                    _ => stubs[next(stubs.len())],
+                };
+                if target == v {
+                    continue;
+                }
+                let e = Edge::new(v, target);
+                if graph.insert(e, ()).is_none() {
+                    stream.push(e);
+                    stubs.extend([v, target]);
+                    last = Some(target);
+                }
+            }
+            v += 1;
+        }
+
+        let mut sample: CompactAdjacency<u32> =
+            CompactAdjacency::with_capacity(2 * (CAP + 1), CAP + 1);
+        let mut held: Vec<Edge> = Vec::with_capacity(CAP + 1);
+        let (mut peak, mut buckets_at_peak) = (0, 0);
+        let mut history = Vec::with_capacity(stream.len());
+        for (k, &e) in stream.iter().enumerate() {
+            sample.insert(e, k as u32);
+            held.push(e);
+            if held.len() > CAP {
+                let victim = held.swap_remove(next(held.len()));
+                sample.remove(victim);
+            }
+            if sample.num_nodes() > peak {
+                peak = sample.num_nodes();
+                buckets_at_peak = sample.index_of.buckets();
+                history.clear();
+            }
+            history.push(sample.index_of.buckets());
+        }
+        assert_eq!(sample.index_of.len(), sample.num_nodes());
+        let bound = (peak * 5).div_ceil(4).next_power_of_two();
+        assert!(
+            sample.index_of.buckets() <= bound,
+            "{} buckets for a peak of {peak} live nodes (bound {bound})",
+            sample.index_of.buckets()
+        );
+        assert!(
+            history.iter().all(|&b| b == buckets_at_peak),
+            "the index grew after the live-node peak"
+        );
     }
 
     #[test]
