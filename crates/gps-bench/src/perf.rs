@@ -1621,6 +1621,142 @@ mod tests {
         }
     }
 
+    /// The all-sections fixture: fixed numbers in every section, with
+    /// distinct per-row timings so the `speedup_vs_s1` / `rate_vs_r0`
+    /// ratios and the two-decimal rounding are exercised.
+    fn all_sections_document() -> Value {
+        let cfg = tiny_cfg();
+        let edges = 6_000usize;
+        let compact = to_measurement(1_234_567, edges);
+        let result = ScenarioResult {
+            scenario: Scenario {
+                stream: StreamKind::HolmeKim,
+                weight: WeightKind::Uniform,
+                capacity: 128,
+            },
+            edges,
+            compact,
+        };
+        let baseline = BaselineResult {
+            name: "TRIEST",
+            scenario: "baseline/triest/m128".into(),
+            capacity: 128,
+            edges,
+            compact,
+        };
+        let engine = [(1usize, 2_000_000u128), (2, 1_300_000)]
+            .map(|(shards, ns)| EngineResult {
+                shards,
+                scenario: format!("engine/holme_kim/triangle/m128/s{shards}"),
+                capacity: 128,
+                edges,
+                measurement: to_measurement(ns, edges),
+            })
+            .to_vec();
+        let serve = SERVE_READERS
+            .map(|readers| ServeResult {
+                readers,
+                scenario: format!("serve/holme_kim/triangle/m128/s4/r{readers}"),
+                capacity: 128,
+                edges,
+                measurement: to_measurement(1_500_000 + 100_000 * readers as u128, edges),
+                reads: if readers == 0 { 0 } else { 17 },
+                staleness_mean_edges: 12.5,
+                staleness_max_edges: 99,
+            })
+            .to_vec();
+        let chaos = CHAOS_SHARDS
+            .map(|shards| ChaosResult {
+                shards,
+                scenario: format!("chaos/holme_kim/triangle/m128/s{shards}"),
+                capacity: 128,
+                edges,
+                clean: compact,
+                faulted: to_measurement(1_700_001, edges),
+                arrivals_lost: 33,
+                restarts: 1,
+                epochs: 40,
+                degraded_epochs: 3,
+            })
+            .to_vec();
+        let sim = vec![gps_sim::SweepPoint {
+            shards: 16,
+            aggregators: 2,
+            skew: "hash",
+            scenario: "clean",
+            seed: 7,
+            pushed: 6_000,
+            exact_triangles: 900,
+            exact_wedges: 40_000,
+            tri_are: 0.1234,
+            wedge_are: 0.01,
+            tri_covered: true,
+            wedge_covered: true,
+            epochs: 12,
+            degraded_epochs: 1,
+            staleness_max_ns: 5_000_000,
+            staleness_mean_ns: 800_000,
+            lost_arrivals: 0,
+            restarts: 0,
+            tree_identical: true,
+            finished_at_ns: 9_000_000,
+        }];
+        let telemetry = TelemetryResult {
+            scenario: "telemetry/holme_kim/triangle/m128/s2".into(),
+            edges,
+            shards: 2,
+            stable_fingerprint: "00c0ffee00c0ffee".into(),
+            counters: vec![
+                ("gps_engine_arrivals_total".into(), edges as u64),
+                ("gps_sampler_inserts_total".into(), 77),
+            ],
+        };
+        let trace = TraceResult {
+            scenario: "trace/holme_kim/triangle/m128/s1".into(),
+            edges,
+            epochs: 18,
+            stages: vec![
+                TraceStage {
+                    stage: "arrival_batch".into(),
+                    count: 18,
+                    p50_ns: 250_000,
+                    p99_ns: 250_000,
+                },
+                TraceStage {
+                    stage: "merge".into(),
+                    count: 18,
+                    p50_ns: 0,
+                    p99_ns: 0,
+                },
+            ],
+            stable_fingerprint: "00c0ffee00c0ffee".into(),
+        };
+        results_json(
+            &cfg,
+            "deadbeef",
+            &[result],
+            OptionalGrids {
+                baselines: &[baseline],
+                engine: &engine,
+                serve: &serve,
+                chaos: &chaos,
+                sim: &sim,
+                telemetry: Some(&telemetry),
+                trace: Some(&trace),
+            },
+        )
+    }
+
+    /// Key order, number formatting, two-decimal rounding and the
+    /// conditional ratio fields of an all-sections document, byte for byte.
+    #[test]
+    fn all_sections_document_layout_is_pinned() {
+        assert_eq!(
+            all_sections_document().to_pretty(),
+            include_str!("../tests/data/all_sections.json")
+        );
+    }
+
     #[test]
     fn baseline_document_round_trips_and_validates() {
         // One micro-scenario end to end: measure, emit, parse, validate.
@@ -1654,115 +1790,8 @@ mod tests {
         let parsed = json::parse(&doc.to_pretty()).expect("emitted JSON must parse");
         assert_eq!(parsed, doc);
         assert!(validate_baseline(&parsed).is_empty());
-        // …and with both of them.
-        let baseline = BaselineResult {
-            name: "TRIEST",
-            scenario: "baseline/triest/m128".into(),
-            capacity: 128,
-            edges: edges.len(),
-            compact,
-        };
-        let engine = [1usize, 2]
-            .map(|shards| EngineResult {
-                shards,
-                scenario: format!("engine/holme_kim/triangle/m128/s{shards}"),
-                capacity: 128,
-                edges: edges.len(),
-                measurement: compact,
-            })
-            .to_vec();
-        let serve = SERVE_READERS
-            .map(|readers| ServeResult {
-                readers,
-                scenario: format!("serve/holme_kim/triangle/m128/s4/r{readers}"),
-                capacity: 128,
-                edges: edges.len(),
-                measurement: compact,
-                reads: if readers == 0 { 0 } else { 17 },
-                staleness_mean_edges: 12.5,
-                staleness_max_edges: 99,
-            })
-            .to_vec();
-        let chaos = CHAOS_SHARDS
-            .map(|shards| ChaosResult {
-                shards,
-                scenario: format!("chaos/holme_kim/triangle/m128/s{shards}"),
-                capacity: 128,
-                edges: edges.len(),
-                clean: compact,
-                faulted: compact,
-                arrivals_lost: 33,
-                restarts: 1,
-                epochs: 40,
-                degraded_epochs: 3,
-            })
-            .to_vec();
-        let sim = vec![gps_sim::SweepPoint {
-            shards: 16,
-            aggregators: 2,
-            skew: "hash",
-            scenario: "clean",
-            seed: 7,
-            pushed: 6_000,
-            exact_triangles: 900,
-            exact_wedges: 40_000,
-            tri_are: 0.12,
-            wedge_are: 0.01,
-            tri_covered: true,
-            wedge_covered: true,
-            epochs: 12,
-            degraded_epochs: 1,
-            staleness_max_ns: 5_000_000,
-            staleness_mean_ns: 800_000,
-            lost_arrivals: 0,
-            restarts: 0,
-            tree_identical: true,
-            finished_at_ns: 9_000_000,
-        }];
-        let telemetry = TelemetryResult {
-            scenario: "telemetry/holme_kim/triangle/m128/s2".into(),
-            edges: edges.len(),
-            shards: 2,
-            stable_fingerprint: "00c0ffee00c0ffee".into(),
-            counters: vec![
-                ("gps_engine_arrivals_total".into(), edges.len() as u64),
-                ("gps_sampler_inserts_total".into(), 77),
-            ],
-        };
-        let trace = TraceResult {
-            scenario: "trace/holme_kim/triangle/m128/s1".into(),
-            edges: edges.len(),
-            epochs: 18,
-            stages: vec![
-                TraceStage {
-                    stage: "arrival_batch".into(),
-                    count: 18,
-                    p50_ns: 250_000,
-                    p99_ns: 250_000,
-                },
-                TraceStage {
-                    stage: "merge".into(),
-                    count: 18,
-                    p50_ns: 0,
-                    p99_ns: 0,
-                },
-            ],
-            stable_fingerprint: "00c0ffee00c0ffee".into(),
-        };
-        let doc = results_json(
-            &cfg,
-            "deadbeef",
-            &[result],
-            OptionalGrids {
-                baselines: &[baseline],
-                engine: &engine,
-                serve: &serve,
-                chaos: &chaos,
-                sim: &sim,
-                telemetry: Some(&telemetry),
-                trace: Some(&trace),
-            },
-        );
+        // …and with every one of them.
+        let doc = all_sections_document();
         let parsed = json::parse(&doc.to_pretty()).expect("emitted JSON must parse");
         assert_eq!(parsed, doc);
         assert!(validate_baseline(&parsed).is_empty());
@@ -1809,7 +1838,7 @@ mod tests {
             counters[0].get_str("name"),
             Some("gps_engine_arrivals_total")
         );
-        assert_eq!(counters[0].get_f64("value"), Some(edges.len() as f64));
+        assert_eq!(counters[0].get_f64("value"), Some(6_000.0));
         let tr = parsed.get("trace").expect("trace section present");
         assert_eq!(tr.get_f64("epochs"), Some(18.0));
         let stages = tr
