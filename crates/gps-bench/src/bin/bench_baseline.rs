@@ -36,22 +36,22 @@
 //!   plus the fingerprint that pins the whole stable snapshot
 //!   (`telemetry` section; schema stays v1-compatible and `--check`
 //!   validates its shape).
-//! - `--trace`: additionally capture per-stage epoch latency attribution
-//!   (p50/p99 per pipeline stage) from the serving stack's flight
-//!   recorder over a manual-clock driven run — fully deterministic per
-//!   seed (`trace` section; schema stays v1-compatible and `--check`
-//!   validates its shape).
+//! - `--trace`: additionally capture a determinism fingerprint of the
+//!   serving stack's flight recorder: per-stage p50/p99 span durations
+//!   over a run that advances its own manual clock one fixed step per
+//!   epoch, plus a digest of every retained timeline (`trace` section;
+//!   schema stays v1-compatible and `--check` validates its shape). The
+//!   percentiles are constants of that clock — `arrival_batch` is the
+//!   250 µs step, every other stage 0 — not latencies.
 //! - `--check PATH`: *instead of* writing, validate the committed baseline
-//!   at `PATH` (schema + required fields) and fail — exit code 1 — if the
+//!   at `PATH` against `perf::SECTIONS` (schema, every declared field and
+//!   its range) and fail — exit code 1 — if the
 //!   current sampler throughput falls below `min-ratio` × the
 //!   committed number for any shared scenario (default ratio 0.5, i.e. a
 //!   >2× regression trips it).
 
 use gps_bench::json::{self, Value};
-use gps_bench::perf::{
-    self, BaselineResult, ChaosResult, EngineResult, Measurement, PerfConfig, ScenarioResult,
-    ServeResult, TelemetryResult, TraceResult,
-};
+use gps_bench::perf::{self, PerfConfig, ScenarioResult};
 use std::process::{Command, ExitCode};
 
 struct Args {
@@ -59,13 +59,8 @@ struct Args {
     out: String,
     check: Option<String>,
     min_ratio: f64,
-    baselines: bool,
-    engine: bool,
-    serve: bool,
-    chaos: bool,
-    sim: bool,
-    telemetry: bool,
-    trace: bool,
+    /// Flags of the optional [`perf::SECTIONS`] turned on.
+    sections: Vec<&'static str>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -74,26 +69,13 @@ fn parse_args() -> Result<Args, String> {
         out: "BENCH_PR2.json".to_owned(),
         check: None,
         min_ratio: 0.5,
-        baselines: false,
-        engine: false,
-        serve: false,
-        chaos: false,
-        sim: false,
-        telemetry: false,
-        trace: false,
+        sections: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut take = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
             "--quick" => args.cfg.quick = true,
-            "--baselines" => args.baselines = true,
-            "--engine" => args.engine = true,
-            "--serve" => args.serve = true,
-            "--chaos" => args.chaos = true,
-            "--sim" => args.sim = true,
-            "--telemetry" => args.telemetry = true,
-            "--trace" => args.trace = true,
             "--iters" => {
                 args.cfg.iters = take("--iters")?
                     .parse()
@@ -112,17 +94,24 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--min-ratio: {e}"))?
             }
             "--help" | "-h" => {
+                let sections: String = section_flags().map(|f| format!(" [{f}]")).collect();
                 println!(
-                    "bench_baseline [--quick] [--iters N] [--seed N] [--out PATH] \
-                     [--baselines] [--engine] [--serve] [--chaos] [--sim] \
-                     [--telemetry] [--trace] [--check PATH [--min-ratio R]]"
+                    "bench_baseline [--quick] [--iters N] [--seed N] [--out PATH]{sections} \
+                     [--check PATH [--min-ratio R]]"
                 );
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument '{other}'")),
+            other => match section_flags().find(|&f| f == other) {
+                Some(flag) => args.sections.push(flag),
+                None => return Err(format!("unknown argument '{other}'")),
+            },
         }
     }
     Ok(args)
+}
+
+fn section_flags() -> impl Iterator<Item = &'static str> {
+    perf::SECTIONS.iter().filter_map(|s| s.flag)
 }
 
 fn git_rev() -> String {
@@ -136,104 +125,18 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-fn print_result(r: &ScenarioResult) {
-    print_sampler(&r.scenario.name(), r.edges, &r.compact);
-}
-
-fn print_sampler(name: &str, edges: usize, m: &Measurement) {
-    println!(
-        "{:<28} {:>9} edges  sampler {:>8.1} ns/e ({:>7.3} Me/s)",
-        name,
-        edges,
-        m.ns_per_edge,
-        m.edges_per_sec / 1e6,
-    );
-}
-
-fn print_engine(r: &EngineResult) {
-    println!(
-        "{:<28} {:>9} edges  ingest  {:>8.1} ns/e ({:>7.3} Me/s)  [{} shard{}]",
-        r.scenario,
-        r.edges,
-        r.measurement.ns_per_edge,
-        r.measurement.edges_per_sec / 1e6,
-        r.shards,
-        if r.shards == 1 { "" } else { "s" },
-    );
-}
-
-fn print_serve(r: &ServeResult) {
-    println!(
-        "{:<34} {:>9} edges  ingest  {:>8.1} ns/e ({:>7.3} Me/s)  [{} reader{}, {} reads, lag mean {:.0} max {}]",
-        r.scenario,
-        r.edges,
-        r.measurement.ns_per_edge,
-        r.measurement.edges_per_sec / 1e6,
-        r.readers,
-        if r.readers == 1 { "" } else { "s" },
-        r.reads,
-        r.staleness_mean_edges,
-        r.staleness_max_edges,
-    );
-}
-
-fn print_chaos(r: &ChaosResult) {
-    println!(
-        "{:<34} {:>9} edges  clean {:>8.1} ns/e  faulted {:>8.1} ns/e  [lost {}, {} restart{}, degraded {}/{} epochs]",
-        r.scenario,
-        r.edges,
-        r.clean.ns_per_edge,
-        r.faulted.ns_per_edge,
-        r.arrivals_lost,
-        r.restarts,
-        if r.restarts == 1 { "" } else { "s" },
-        r.degraded_epochs,
-        r.epochs,
-    );
-}
-
-fn print_sim(p: &gps_sim::SweepPoint) {
-    println!(
-        "{:<34} {:>9} edges  tri ARE {:>6.3} (cov {})  wedge ARE {:>6.3} (cov {})  [{}/{} degraded epochs, stale max {:.2} ms, lost {}, tree {}]",
-        p.name(),
-        p.pushed,
-        p.tri_are,
-        u8::from(p.tri_covered),
-        p.wedge_are,
-        u8::from(p.wedge_covered),
-        p.degraded_epochs,
-        p.epochs,
-        p.staleness_max_ns as f64 / 1e6,
-        p.lost_arrivals,
-        if p.tree_identical { "ok" } else { "DIVERGED" },
-    );
-}
-
-fn print_telemetry(t: &TelemetryResult) {
-    println!(
-        "{:<34} {:>9} edges  stable fingerprint {}  [{} counters]",
-        t.scenario,
-        t.edges,
-        t.stable_fingerprint,
-        t.counters.len(),
-    );
-}
-
-fn print_trace(t: &TraceResult) {
-    println!(
-        "{:<34} {:>9} edges  stable fingerprint {}  [{} epochs]",
-        t.scenario, t.edges, t.stable_fingerprint, t.epochs,
-    );
-    for s in &t.stages {
-        println!(
-            "  {:<20} n={:<4} p50 {:>9} ns  p99 {:>9} ns",
-            s.stage, s.count, s.p50_ns, s.p99_ns
-        );
+/// Reads, parses and shape-validates the committed baseline at `path`.
+fn read_committed(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let problems = perf::validate_baseline(&doc);
+    if problems.is_empty() {
+        return Ok(doc);
     }
-}
-
-fn print_baseline(r: &BaselineResult) {
-    print_sampler(&r.scenario, r.edges, &r.compact);
+    Err(format!(
+        "{path} is malformed:\n  - {}",
+        problems.join("\n  - ")
+    ))
 }
 
 /// Compares freshly measured sampler throughput against a committed
@@ -297,80 +200,31 @@ fn main() -> ExitCode {
     );
     // Fail fast in check mode: read, parse and shape-validate the committed
     // baseline before burning minutes on measurement.
-    let committed = match &args.check {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("bench_baseline: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match json::parse(&text) {
-                Ok(v) => {
-                    let problems = perf::validate_baseline(&v);
-                    if !problems.is_empty() {
-                        eprintln!("bench_baseline: {path} is malformed:");
-                        for p in &problems {
-                            eprintln!("  - {p}");
-                        }
-                        return ExitCode::FAILURE;
-                    }
-                    Some(v)
-                }
-                Err(e) => {
-                    eprintln!("bench_baseline: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    let committed = match args.check.as_deref().map(read_committed).transpose() {
+        Ok(committed) => committed,
+        Err(msg) => {
+            eprintln!("bench_baseline: {msg}");
+            return ExitCode::FAILURE;
         }
-        None => None,
     };
-    let results = perf::run_all(&args.cfg, print_result);
-    // The check gate only reads the GPS grid; don't burn minutes measuring
-    // the baseline-sampler or engine grids just to discard them.
-    let baselines = if args.baselines && args.check.is_none() {
-        perf::run_baselines(&args.cfg, print_baseline)
-    } else {
-        Vec::new()
+    let mut report = perf::Report {
+        cfg: args.cfg,
+        git_rev: git_rev(),
+        ..Default::default()
     };
-    let engine = if args.engine && args.check.is_none() {
-        perf::run_engine(&args.cfg, print_engine)
-    } else {
-        Vec::new()
-    };
-    let serve = if args.serve && args.check.is_none() {
-        perf::run_serve(&args.cfg, print_serve)
-    } else {
-        Vec::new()
-    };
-    let chaos = if args.chaos && args.check.is_none() {
-        perf::run_chaos(&args.cfg, print_chaos)
-    } else {
-        Vec::new()
-    };
-    let sim = if args.sim && args.check.is_none() {
-        perf::run_sim(&args.cfg, print_sim)
-    } else {
-        Vec::new()
-    };
-    let telemetry = if args.telemetry && args.check.is_none() {
-        let t = perf::run_telemetry(&args.cfg);
-        print_telemetry(&t);
-        Some(t)
-    } else {
-        None
-    };
-    let trace = if args.trace && args.check.is_none() {
-        let t = perf::run_trace(&args.cfg);
-        print_trace(&t);
-        Some(t)
-    } else {
-        None
-    };
+    for section in &perf::SECTIONS {
+        // The check gate only reads the GPS grid; don't burn minutes
+        // measuring the optional sections just to discard them.
+        let on = section
+            .flag
+            .is_none_or(|f| args.check.is_none() && args.sections.contains(&f));
+        if on {
+            (section.run)(&args.cfg, &mut report);
+        }
+    }
 
     if let (Some(path), Some(committed)) = (&args.check, &committed) {
-        let failures = check_against(committed, &results, args.min_ratio);
+        let failures = check_against(committed, &report.scenarios, args.min_ratio);
         if failures.is_empty() {
             println!(
                 "check OK: {path} is well-formed and throughput is within {:.1}x of the committed floor",
@@ -385,20 +239,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let doc = perf::results_json(
-        &args.cfg,
-        &git_rev(),
-        &results,
-        perf::OptionalGrids {
-            baselines: &baselines,
-            engine: &engine,
-            serve: &serve,
-            chaos: &chaos,
-            sim: &sim,
-            telemetry: telemetry.as_ref(),
-            trace: trace.as_ref(),
-        },
-    );
+    let doc = perf::results_json(&report);
     if let Err(e) = std::fs::write(&args.out, doc.to_pretty()) {
         eprintln!("bench_baseline: cannot write {}: {e}", args.out);
         return ExitCode::FAILURE;

@@ -5,23 +5,18 @@
 //! synthetic stream × reservoir capacity. Timing takes the best of `iters`
 //! runs (minimum wall time — the standard way to suppress scheduler noise
 //! for CPU-bound loops); stream generation and sampler construction are
-//! untimed. The measurement is stored under the key `compact`, the name of
-//! the sampler's adjacency representation, so documents written before the
-//! nested-hash comparison arm was removed still validate and `--check`.
+//! untimed.
 //!
-//! [`run_baselines`] times the ported `gps-baselines` samplers with the
-//! same protocol: the update-cost half of the paper's Table 2.
-//!
-//! [`run_engine`] adds the sharded-ingest scaling grid: the `gps-engine`
-//! `ShardedGps` at `S ∈ {1, 2, 4, 8}` shards over a fixed total budget on
-//! the triangle-weight Holme–Kim scenario (optional `engine` section of
-//! the JSON document; schema unchanged).
-//!
-//! [`run_chaos`] adds the fault-injection grid: a scripted mid-stream
-//! crash + checkpoint restore at `S ∈ {2, 4}` (clean and faulted wall
-//! times, exact loss/restart counts from the engine's incident ledger)
-//! plus a gated serving probe that counts degraded epochs published while
-//! one shard is stalled (optional `chaos` section; schema unchanged).
+//! The `run_*` functions measure one section of the baseline document each
+//! into a [`Report`]: the scenario grid ([`run_all`]), the ported baselines
+//! ([`run_baselines`], the update-cost half of the paper's Table 2), the
+//! sharded engine ([`run_engine`]), live serving ([`run_serve`]), crash
+//! recovery ([`run_chaos`]), the simulated scale-out sweep ([`run_sim`]),
+//! and the telemetry and trace fingerprints ([`run_telemetry`],
+//! [`run_trace`]). [`SECTIONS`] describes every section once — its
+//! `bench_baseline` flag, its JSON key, and each field's key, validation
+//! rule and getter — and [`results_json`], [`validate_baseline`] and
+//! the binary's flag parser all read that one table.
 
 use crate::json::Value;
 use gps_baselines::{
@@ -748,24 +743,32 @@ pub fn run_telemetry(cfg: &PerfConfig) -> TelemetryResult {
     }
 }
 
-/// One stage row of the trace section: latency attribution for a pipeline
-/// stage across every epoch of the traced run.
+/// One stage row of the trace section: a pipeline stage's span durations
+/// across every epoch of the traced run.
 #[derive(Clone, Debug)]
 pub struct TraceStage {
     /// Stage name from the trace-stage catalog (`docs/observability.md`).
     pub stage: String,
     /// Epochs that recorded this stage.
     pub count: u64,
-    /// Median stage latency (nearest-rank) in clock nanoseconds.
+    /// The ⌊(n−1)·50/100⌋-th smallest of the `n` durations (the lower
+    /// median), in clock nanoseconds.
     pub p50_ns: u64,
-    /// 99th-percentile stage latency (nearest-rank) in clock nanoseconds.
+    /// The ⌊(n−1)·99/100⌋-th smallest of the `n` durations, in clock
+    /// nanoseconds. This rounds the rank down: of 18 values it picks the
+    /// 17th, where nearest-rank would pick the 18th.
     pub p99_ns: u64,
 }
 
-/// The `trace` section of the baseline document: per-stage latency
-/// attribution from the serving stack's flight recorder over one
-/// manual-clock run. Every field is stable — the run drives the clock
-/// itself, so the percentiles replay bit-for-bit under `--check`.
+/// The `trace` section of the baseline document: a **determinism
+/// fingerprint**, not a latency measurement. It tabulates the serving
+/// stack's flight recorder over one run that advances its own manual
+/// clock one fixed 250 µs step per epoch, so every percentile is a
+/// constant of that clock: `arrival_batch` reads exactly the step (p50 =
+/// p99 = 250,000 ns) and every in-publication stage reads 0. What the
+/// section pins is the stage set, the per-stage epoch counts and the
+/// digest over every retained timeline, all of which replay bit-for-bit
+/// under `--check`.
 #[derive(Clone, Debug)]
 pub struct TraceResult {
     /// Stable scenario name (`trace/holme_kim/triangle/mM/s1`).
@@ -782,7 +785,8 @@ pub struct TraceResult {
     pub stable_fingerprint: String,
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
+/// The element at index ⌊(len−1)·p/100⌋ of an ascending-sorted slice
+/// (rank rounded down, not nearest-rank).
 fn percentile_ns(sorted: &[u64], p: usize) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -891,700 +895,540 @@ fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
 }
 
+fn num(x: f64) -> Value {
+    Value::Number(x)
+}
+
+fn text(s: &str) -> Value {
+    Value::String(s.into())
+}
+
+/// Booleans as 0/1: the document stays in the numbers-and-strings subset.
+fn flag(b: bool) -> Value {
+    num(f64::from(u8::from(b)))
+}
+
 /// Schema tag checked by the CI smoke run.
 pub const SCHEMA: &str = "gps-bench/bench-baseline/v1";
 
-/// The optional grids of a baseline document, bundled for
-/// [`results_json`]. Each defaults to empty, and an empty grid's key is
-/// omitted from the JSON, keeping documents produced before that grid
-/// existed valid under the same schema.
-#[derive(Clone, Copy, Default)]
-pub struct OptionalGrids<'a> {
-    /// Ported `gps-baselines` grid from [`run_baselines`] (`baseline_samplers` key).
-    pub baselines: &'a [BaselineResult],
-    /// Sharded-ingest scaling grid from [`run_engine`] (`engine` key).
-    pub engine: &'a [EngineResult],
-    /// Live-serving grid from [`run_serve`] (`serve` key).
-    pub serve: &'a [ServeResult],
-    /// Fault-injection grid from [`run_chaos`] (`chaos` key).
-    pub chaos: &'a [ChaosResult],
-    /// Simulated scale-out sweep from [`run_sim`] (`sim` key).
-    pub sim: &'a [gps_sim::SweepPoint],
-    /// Deterministic telemetry capture from [`run_telemetry`]
-    /// (`telemetry` key; `None` omits it).
-    pub telemetry: Option<&'a TelemetryResult>,
-    /// Deterministic flight-recorder latency attribution from
-    /// [`run_trace`] (`trace` key; `None` omits it).
-    pub trace: Option<&'a TraceResult>,
+/// Everything one `bench_baseline` run measured, as the [`SECTIONS`]
+/// getters read it. An optional section with no rows is left out of the
+/// document, so documents written before that section existed still
+/// validate under the same schema.
+#[derive(Clone, Debug, Default)]
+pub struct Report {
+    /// Harness configuration (`mode`, `iters` and `seed` of the document).
+    pub cfg: PerfConfig,
+    /// Short revision of the producing checkout.
+    pub git_rev: String,
+    /// GPS scenario grid from [`run_all`] (`scenarios`).
+    pub scenarios: Vec<ScenarioResult>,
+    /// Ported `gps-baselines` grid from [`run_baselines`] (`baseline_samplers`).
+    pub baselines: Vec<BaselineResult>,
+    /// Sharded-ingest scaling grid from [`run_engine`] (`engine`).
+    pub engine: Vec<EngineResult>,
+    /// Live-serving grid from [`run_serve`] (`serve`).
+    pub serve: Vec<ServeResult>,
+    /// Fault-injection grid from [`run_chaos`] (`chaos`).
+    pub chaos: Vec<ChaosResult>,
+    /// Simulated scale-out sweep from [`run_sim`] (`sim`).
+    pub sim: Vec<gps_sim::SweepPoint>,
+    /// Deterministic telemetry capture from [`run_telemetry`] (`telemetry`).
+    pub telemetry: Option<TelemetryResult>,
+    /// Deterministic flight-recorder capture from [`run_trace`] (`trace`).
+    pub trace: Option<TraceResult>,
 }
 
-/// Builds the machine-readable baseline document; the [`OptionalGrids`]
-/// sections are emitted only when non-empty.
-pub fn results_json(
-    cfg: &PerfConfig,
-    git_rev: &str,
-    results: &[ScenarioResult],
-    grids: OptionalGrids<'_>,
-) -> Value {
-    let OptionalGrids {
-        baselines,
-        engine,
-        serve,
-        chaos,
-        sim,
-        telemetry,
-        trace,
-    } = grids;
-    let mut fields = vec![
-        ("schema", Value::String(SCHEMA.into())),
-        ("git_rev", Value::String(git_rev.into())),
-        (
-            "mode",
-            Value::String(if cfg.quick { "quick" } else { "full" }.into()),
-        ),
-        ("iters", Value::Number(cfg.iters as f64)),
-        ("seed", Value::Number(cfg.seed as f64)),
-        (
-            "scenarios",
-            Value::Array(
-                results
-                    .iter()
-                    .map(|r| {
-                        Value::object(vec![
-                            ("name", Value::String(r.scenario.name())),
-                            ("stream", Value::String(r.scenario.stream.name().into())),
-                            ("weight", Value::String(r.scenario.weight.name().into())),
-                            ("capacity", Value::Number(r.scenario.capacity as f64)),
-                            ("edges", Value::Number(r.edges as f64)),
-                            ("compact", measurement_json(&r.compact)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
-    if !baselines.is_empty() {
-        fields.push((
-            "baseline_samplers",
-            Value::Array(
-                baselines
-                    .iter()
-                    .map(|r| {
-                        Value::object(vec![
-                            ("name", Value::String(r.scenario.clone())),
-                            ("method", Value::String(r.name.into())),
-                            ("capacity", Value::Number(r.capacity as f64)),
-                            ("edges", Value::Number(r.edges as f64)),
-                            ("compact", measurement_json(&r.compact)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+impl Report {
+    fn telemetry(&self) -> &TelemetryResult {
+        self.telemetry.as_ref().expect("read only when captured")
     }
-    if !engine.is_empty() {
-        let s1_rate = engine
-            .iter()
-            .find(|r| r.shards == 1)
-            .map(|r| r.measurement.edges_per_sec);
-        fields.push((
-            "engine",
-            Value::object(vec![
-                ("stream", Value::String("holme_kim".into())),
-                ("weight", Value::String("triangle".into())),
-                ("capacity", Value::Number(engine[0].capacity as f64)),
-                ("edges", Value::Number(engine[0].edges as f64)),
-                (
-                    "shards",
-                    Value::Array(
-                        engine
-                            .iter()
-                            .map(|r| {
-                                let mut entry = vec![
-                                    ("name", Value::String(r.scenario.clone())),
-                                    ("shards", Value::Number(r.shards as f64)),
-                                    ("elapsed_ns", Value::Number(r.measurement.elapsed_ns as f64)),
-                                    (
-                                        "ns_per_edge",
-                                        Value::Number(round2(r.measurement.ns_per_edge)),
-                                    ),
-                                    (
-                                        "edges_per_sec",
-                                        Value::Number(round2(r.measurement.edges_per_sec)),
-                                    ),
-                                ];
-                                if let Some(s1) = s1_rate {
-                                    entry.push((
-                                        "speedup_vs_s1",
-                                        Value::Number(round2(r.measurement.edges_per_sec / s1)),
-                                    ));
-                                }
-                                Value::object(entry)
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
+
+    fn trace(&self) -> &TraceResult {
+        self.trace.as_ref().expect("read only when captured")
     }
-    if !serve.is_empty() {
-        let r0_rate = serve
-            .iter()
-            .find(|r| r.readers == 0)
-            .map(|r| r.measurement.edges_per_sec);
-        fields.push((
-            "serve",
-            Value::object(vec![
-                ("stream", Value::String("holme_kim".into())),
-                ("weight", Value::String("triangle".into())),
-                ("capacity", Value::Number(serve[0].capacity as f64)),
-                ("shards", Value::Number(SERVE_SHARDS as f64)),
-                ("edges", Value::Number(serve[0].edges as f64)),
-                (
-                    "readers",
-                    Value::Array(
-                        serve
-                            .iter()
-                            .map(|r| {
-                                let mut entry = vec![
-                                    ("name", Value::String(r.scenario.clone())),
-                                    ("readers", Value::Number(r.readers as f64)),
-                                    ("elapsed_ns", Value::Number(r.measurement.elapsed_ns as f64)),
-                                    (
-                                        "ns_per_edge",
-                                        Value::Number(round2(r.measurement.ns_per_edge)),
-                                    ),
-                                    (
-                                        "edges_per_sec",
-                                        Value::Number(round2(r.measurement.edges_per_sec)),
-                                    ),
-                                    ("reads", Value::Number(r.reads as f64)),
-                                    (
-                                        "staleness_mean_edges",
-                                        Value::Number(r.staleness_mean_edges),
-                                    ),
-                                    (
-                                        "staleness_max_edges",
-                                        Value::Number(r.staleness_max_edges as f64),
-                                    ),
-                                ];
-                                if let Some(r0) = r0_rate {
-                                    entry.push((
-                                        "rate_vs_r0",
-                                        Value::Number(round2(r.measurement.edges_per_sec / r0)),
-                                    ));
-                                }
-                                Value::object(entry)
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
-    }
-    if !chaos.is_empty() {
-        fields.push((
-            "chaos",
-            Value::object(vec![
-                ("stream", Value::String("holme_kim".into())),
-                ("weight", Value::String("triangle".into())),
-                ("capacity", Value::Number(chaos[0].capacity as f64)),
-                ("edges", Value::Number(chaos[0].edges as f64)),
-                (
-                    "shards",
-                    Value::Array(
-                        chaos
-                            .iter()
-                            .map(|r| {
-                                Value::object(vec![
-                                    ("name", Value::String(r.scenario.clone())),
-                                    ("shards", Value::Number(r.shards as f64)),
-                                    ("clean", measurement_json(&r.clean)),
-                                    ("faulted", measurement_json(&r.faulted)),
-                                    ("arrivals_lost", Value::Number(r.arrivals_lost as f64)),
-                                    ("restarts", Value::Number(r.restarts as f64)),
-                                    ("epochs", Value::Number(r.epochs as f64)),
-                                    ("degraded_epochs", Value::Number(r.degraded_epochs as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
-    }
-    if !sim.is_empty() {
-        fields.push((
-            "sim",
-            Value::object(vec![
-                ("edges", Value::Number(sim[0].pushed as f64)),
-                (
-                    "points",
-                    Value::Array(
-                        sim.iter()
-                            .map(|p| {
-                                // Booleans as 0/1: the document stays in the
-                                // numbers-and-strings subset the rest of the
-                                // schema uses.
-                                Value::object(vec![
-                                    ("name", Value::String(p.name())),
-                                    ("shards", Value::Number(p.shards as f64)),
-                                    ("aggregators", Value::Number(p.aggregators as f64)),
-                                    ("skew", Value::String(p.skew.into())),
-                                    ("scenario", Value::String(p.scenario.into())),
-                                    ("seed", Value::Number(p.seed as f64)),
-                                    ("pushed", Value::Number(p.pushed as f64)),
-                                    ("exact_triangles", Value::Number(p.exact_triangles as f64)),
-                                    ("exact_wedges", Value::Number(p.exact_wedges as f64)),
-                                    ("tri_are", Value::Number(round2(p.tri_are))),
-                                    ("wedge_are", Value::Number(round2(p.wedge_are))),
-                                    (
-                                        "tri_covered",
-                                        Value::Number(f64::from(u8::from(p.tri_covered))),
-                                    ),
-                                    (
-                                        "wedge_covered",
-                                        Value::Number(f64::from(u8::from(p.wedge_covered))),
-                                    ),
-                                    ("epochs", Value::Number(p.epochs as f64)),
-                                    ("degraded_epochs", Value::Number(p.degraded_epochs as f64)),
-                                    ("staleness_max_ns", Value::Number(p.staleness_max_ns as f64)),
-                                    (
-                                        "staleness_mean_ns",
-                                        Value::Number(p.staleness_mean_ns as f64),
-                                    ),
-                                    ("arrivals_lost", Value::Number(p.lost_arrivals as f64)),
-                                    ("restarts", Value::Number(p.restarts as f64)),
-                                    (
-                                        "tree_identical",
-                                        Value::Number(f64::from(u8::from(p.tree_identical))),
-                                    ),
-                                    ("finished_at_ns", Value::Number(p.finished_at_ns as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
-    }
-    if let Some(t) = telemetry {
-        fields.push((
-            "telemetry",
-            Value::object(vec![
-                ("scenario", Value::String(t.scenario.clone())),
-                ("edges", Value::Number(t.edges as f64)),
-                ("shards", Value::Number(t.shards as f64)),
-                (
-                    "stable_fingerprint",
-                    Value::String(t.stable_fingerprint.clone()),
-                ),
-                (
-                    "counters",
-                    Value::Array(
-                        t.counters
-                            .iter()
-                            .map(|(name, value)| {
-                                // Counter values are bounded by stream
-                                // length × small constants, far below
-                                // 2^53 — exact in a JSON number.
-                                Value::object(vec![
-                                    ("name", Value::String(name.clone())),
-                                    ("value", Value::Number(*value as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
-    }
-    if let Some(t) = trace {
-        fields.push((
-            "trace",
-            Value::object(vec![
-                ("scenario", Value::String(t.scenario.clone())),
-                ("edges", Value::Number(t.edges as f64)),
-                ("epochs", Value::Number(t.epochs as f64)),
-                (
-                    "stable_fingerprint",
-                    Value::String(t.stable_fingerprint.clone()),
-                ),
-                (
-                    "stages",
-                    Value::Array(
-                        t.stages
-                            .iter()
-                            .map(|s| {
-                                Value::object(vec![
-                                    ("stage", Value::String(s.stage.clone())),
-                                    ("count", Value::Number(s.count as f64)),
-                                    ("p50_ns", Value::Number(s.p50_ns as f64)),
-                                    ("p99_ns", Value::Number(s.p99_ns as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
-    }
-    Value::object(fields)
 }
 
-/// Fields every scenario entry of a baseline document must carry.
-pub const REQUIRED_SCENARIO_FIELDS: [&str; 6] =
-    ["name", "stream", "weight", "capacity", "edges", "compact"];
+/// What [`validate_baseline`] asks of one field's value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Rule {
+    /// Exactly [`SCHEMA`].
+    Schema,
+    /// Any string.
+    Text,
+    /// A number above 0 (wall-clock timings and rates).
+    Positive,
+    /// A number of at least 0 (counters that may legitimately stay 0).
+    NonNegative,
+    /// A number of at least 1 (sizes, and counters that must have moved).
+    AtLeastOne,
+    /// A 0/1 flag that must read 1.
+    One,
+    /// A `{:016x}` digest: 16 hex digits.
+    Digest,
+    /// A measurement object whose `elapsed_ns`, `ns_per_edge` and
+    /// `edges_per_sec` are all [`Rule::Positive`].
+    Timing,
+}
 
-/// Validates a parsed baseline document's shape. Returns the list of
-/// problems (empty = valid).
+use Rule::{AtLeastOne, Digest, NonNegative, One, Positive, Schema, Text, Timing};
+
+/// One field of a section: its JSON key, the [`Rule`] the validator
+/// applies, and the getter the emitter reads it with from row `i` of a
+/// [`Report`] (header getters get `i = 0`). A getter returning
+/// `Value::Null` leaves the field out.
+pub(crate) type Field = (&'static str, Rule, fn(&Report, usize) -> Value);
+
+/// One section of the baseline document: a header object plus an array of
+/// rows. [`results_json`] emits it, [`validate_baseline`] checks it and
+/// `bench_baseline` turns it on, all from this one description.
+pub struct Section {
+    /// `bench_baseline` flag that turns the section on; `None` for the
+    /// scenario grid, which every run measures and every document carries.
+    pub flag: Option<&'static str>,
+    /// Top-level key of the section object; `None` splices the header and
+    /// the row array into the document root.
+    key: Option<&'static str>,
+    /// Key of the row array.
+    rows: &'static str,
+    /// What one row is called in problem messages (`engine entry 0 …`).
+    noun: &'static str,
+    /// Fields of the section object.
+    header: &'static [Field],
+    /// Fields of every row.
+    row: &'static [Field],
+    /// `(field, value)` that at least one row must carry: a capture
+    /// without it measured nothing.
+    must_include: Option<(&'static str, &'static str)>,
+    /// Rows the report holds for this section.
+    len: fn(&Report) -> usize,
+    /// Measures the section into the report, printing a progress line as
+    /// each row finishes.
+    pub run: fn(&PerfConfig, &mut Report),
+}
+
+/// Every section of a `gps-bench/bench-baseline/v1` document, in emission
+/// order. See `docs/benchmarks.md` for what each field means.
+#[rustfmt::skip]
+pub static SECTIONS: [Section; 8] = [
+    // The run's configuration plus the GPS scenario grid. The measurement
+    // key stays `compact` (the sampler's adjacency representation), so
+    // documents from before the nested-hash comparison arm was removed
+    // still validate and `--check`.
+    Section {
+        flag: None,
+        key: None,
+        rows: "scenarios",
+        noun: "scenario",
+        header: &[
+            ("schema",   Schema,       |_, _| text(SCHEMA)),
+            ("git_rev",  Text,         |r, _| text(&r.git_rev)),
+            ("mode",     Text,         |r, _| text(if r.cfg.quick { "quick" } else { "full" })),
+            ("iters",    AtLeastOne,   |r, _| num(r.cfg.iters as f64)),
+            ("seed",     NonNegative,  |r, _| num(r.cfg.seed as f64)),
+        ],
+        row: &[
+            ("name",     Text,         |r, i| text(&r.scenarios[i].scenario.name())),
+            ("stream",   Text,         |r, i| text(r.scenarios[i].scenario.stream.name())),
+            ("weight",   Text,         |r, i| text(r.scenarios[i].scenario.weight.name())),
+            ("capacity", AtLeastOne,   |r, i| num(r.scenarios[i].scenario.capacity as f64)),
+            ("edges",    AtLeastOne,   |r, i| num(r.scenarios[i].edges as f64)),
+            ("compact",  Timing,       |r, i| measurement_json(&r.scenarios[i].compact)),
+        ],
+        must_include: None,
+        len: |r| r.scenarios.len(),
+        run: |cfg, r| r.scenarios = run_all(cfg, |s| print_sampler(&s.scenario.name(), s.edges, &s.compact)),
+    },
+    Section {
+        flag: Some("--baselines"),
+        key: None,
+        rows: "baseline_samplers",
+        noun: "baseline",
+        header: &[],
+        row: &[
+            ("name",     Text,         |r, i| text(&r.baselines[i].scenario)),
+            ("method",   Text,         |r, i| text(r.baselines[i].name)),
+            ("capacity", AtLeastOne,   |r, i| num(r.baselines[i].capacity as f64)),
+            ("edges",    AtLeastOne,   |r, i| num(r.baselines[i].edges as f64)),
+            ("compact",  Timing,       |r, i| measurement_json(&r.baselines[i].compact)),
+        ],
+        must_include: None,
+        len: |r| r.baselines.len(),
+        run: |cfg, r| r.baselines = run_baselines(cfg, |b| print_sampler(&b.scenario, b.edges, &b.compact)),
+    },
+    Section {
+        flag: Some("--engine"),
+        key: Some("engine"),
+        rows: "shards",
+        noun: "engine entry",
+        header: &[
+            ("stream",        Text,       |_, _| text("holme_kim")),
+            ("weight",        Text,       |_, _| text("triangle")),
+            ("capacity",      AtLeastOne, |r, _| num(r.engine[0].capacity as f64)),
+            ("edges",         AtLeastOne, |r, _| num(r.engine[0].edges as f64)),
+        ],
+        row: &[
+            ("name",          Text,       |r, i| text(&r.engine[i].scenario)),
+            ("shards",        AtLeastOne, |r, i| num(r.engine[i].shards as f64)),
+            ("elapsed_ns",    Positive,   |r, i| num(r.engine[i].measurement.elapsed_ns as f64)),
+            ("ns_per_edge",   Positive,   |r, i| num(round2(r.engine[i].measurement.ns_per_edge))),
+            ("edges_per_sec", Positive,   |r, i| num(round2(r.engine[i].measurement.edges_per_sec))),
+            ("speedup_vs_s1", Positive,   speedup_vs_s1),
+        ],
+        must_include: None,
+        len: |r| r.engine.len(),
+        run: |cfg, r| r.engine = run_engine(cfg, print_engine),
+    },
+    Section {
+        flag: Some("--serve"),
+        key: Some("serve"),
+        rows: "readers",
+        noun: "serve entry",
+        header: &[
+            ("stream",               Text,        |_, _| text("holme_kim")),
+            ("weight",               Text,        |_, _| text("triangle")),
+            ("capacity",             AtLeastOne,  |r, _| num(r.serve[0].capacity as f64)),
+            ("shards",               AtLeastOne,  |_, _| num(SERVE_SHARDS as f64)),
+            ("edges",                AtLeastOne,  |r, _| num(r.serve[0].edges as f64)),
+        ],
+        // `readers` and `reads` are 0 on the r0 arm, and a fast quick run
+        // may sample zero lag.
+        row: &[
+            ("name",                 Text,        |r, i| text(&r.serve[i].scenario)),
+            ("readers",              NonNegative, |r, i| num(r.serve[i].readers as f64)),
+            ("elapsed_ns",           Positive,    |r, i| num(r.serve[i].measurement.elapsed_ns as f64)),
+            ("ns_per_edge",          Positive,    |r, i| num(round2(r.serve[i].measurement.ns_per_edge))),
+            ("edges_per_sec",        Positive,    |r, i| num(round2(r.serve[i].measurement.edges_per_sec))),
+            ("reads",                NonNegative, |r, i| num(r.serve[i].reads as f64)),
+            ("staleness_mean_edges", NonNegative, |r, i| num(r.serve[i].staleness_mean_edges)),
+            ("staleness_max_edges",  NonNegative, |r, i| num(r.serve[i].staleness_max_edges as f64)),
+            ("rate_vs_r0",           Positive,    rate_vs_r0),
+        ],
+        must_include: None,
+        len: |r| r.serve.len(),
+        run: |cfg, r| r.serve = run_serve(cfg, print_serve),
+    },
+    Section {
+        flag: Some("--chaos"),
+        key: Some("chaos"),
+        rows: "shards",
+        noun: "chaos entry",
+        header: &[
+            ("stream",          Text,        |_, _| text("holme_kim")),
+            ("weight",          Text,        |_, _| text("triangle")),
+            ("capacity",        AtLeastOne,  |r, _| num(r.chaos[0].capacity as f64)),
+            ("edges",           AtLeastOne,  |r, _| num(r.chaos[0].edges as f64)),
+        ],
+        // A supervised crash always loses at least the panicking arrival
+        // and restarts the worker once: a 0 in `arrivals_lost` or
+        // `restarts` means the scripted fault never fired. The probe's
+        // epoch counts are timing-dependent and may be 0.
+        row: &[
+            ("name",            Text,        |r, i| text(&r.chaos[i].scenario)),
+            ("shards",          AtLeastOne,  |r, i| num(r.chaos[i].shards as f64)),
+            ("clean",           Timing,      |r, i| measurement_json(&r.chaos[i].clean)),
+            ("faulted",         Timing,      |r, i| measurement_json(&r.chaos[i].faulted)),
+            ("arrivals_lost",   AtLeastOne,  |r, i| num(r.chaos[i].arrivals_lost as f64)),
+            ("restarts",        AtLeastOne,  |r, i| num(r.chaos[i].restarts as f64)),
+            ("epochs",          NonNegative, |r, i| num(r.chaos[i].epochs as f64)),
+            ("degraded_epochs", NonNegative, |r, i| num(r.chaos[i].degraded_epochs as f64)),
+        ],
+        must_include: None,
+        len: |r| r.chaos.len(),
+        run: |cfg, r| r.chaos = run_chaos(cfg, print_chaos),
+    },
+    // Virtual-time quality numbers: the checks are about ledger shape, not
+    // wall-clock positivity. The merge-tree identity is the simulator's
+    // core claim, so a `tree_identical` of 0 fails the document.
+    Section {
+        flag: Some("--sim"),
+        key: Some("sim"),
+        rows: "points",
+        noun: "sim point",
+        header: &[
+            ("edges",             AtLeastOne,  |r, _| num(r.sim[0].pushed as f64)),
+        ],
+        row: &[
+            ("name",              Text,        |r, i| text(&r.sim[i].name())),
+            ("shards",            AtLeastOne,  |r, i| num(r.sim[i].shards as f64)),
+            ("aggregators",       AtLeastOne,  |r, i| num(r.sim[i].aggregators as f64)),
+            ("skew",              Text,        |r, i| text(r.sim[i].skew)),
+            ("scenario",          Text,        |r, i| text(r.sim[i].scenario)),
+            ("seed",              NonNegative, |r, i| num(r.sim[i].seed as f64)),
+            ("pushed",            NonNegative, |r, i| num(r.sim[i].pushed as f64)),
+            ("exact_triangles",   NonNegative, |r, i| num(r.sim[i].exact_triangles as f64)),
+            ("exact_wedges",      NonNegative, |r, i| num(r.sim[i].exact_wedges as f64)),
+            ("tri_are",           NonNegative, |r, i| num(round2(r.sim[i].tri_are))),
+            ("wedge_are",         NonNegative, |r, i| num(round2(r.sim[i].wedge_are))),
+            ("tri_covered",       NonNegative, |r, i| flag(r.sim[i].tri_covered)),
+            ("wedge_covered",     NonNegative, |r, i| flag(r.sim[i].wedge_covered)),
+            ("epochs",            NonNegative, |r, i| num(r.sim[i].epochs as f64)),
+            ("degraded_epochs",   NonNegative, |r, i| num(r.sim[i].degraded_epochs as f64)),
+            ("staleness_max_ns",  NonNegative, |r, i| num(r.sim[i].staleness_max_ns as f64)),
+            ("staleness_mean_ns", NonNegative, |r, i| num(r.sim[i].staleness_mean_ns as f64)),
+            ("arrivals_lost",     NonNegative, |r, i| num(r.sim[i].lost_arrivals as f64)),
+            ("restarts",          NonNegative, |r, i| num(r.sim[i].restarts as f64)),
+            ("tree_identical",    One,         |r, i| flag(r.sim[i].tree_identical)),
+            ("finished_at_ns",    NonNegative, |r, i| num(r.sim[i].finished_at_ns as f64)),
+        ],
+        must_include: None,
+        len: |r| r.sim.len(),
+        run: |cfg, r| r.sim = run_sim(cfg, print_sim),
+    },
+    // Counter values are bounded by stream length × small constants, far
+    // below 2^53: exact in a JSON number.
+    Section {
+        flag: Some("--telemetry"),
+        key: Some("telemetry"),
+        rows: "counters",
+        noun: "telemetry counter",
+        header: &[
+            ("scenario",           Text,        |r, _| text(&r.telemetry().scenario)),
+            ("edges",              AtLeastOne,  |r, _| num(r.telemetry().edges as f64)),
+            ("shards",             AtLeastOne,  |r, _| num(r.telemetry().shards as f64)),
+            ("stable_fingerprint", Digest,      |r, _| text(&r.telemetry().stable_fingerprint)),
+        ],
+        row: &[
+            ("name",               Text,        |r, i| text(&r.telemetry().counters[i].0)),
+            ("value",              NonNegative, |r, i| num(r.telemetry().counters[i].1 as f64)),
+        ],
+        must_include: Some(("name", "gps_engine_arrivals_total")),
+        len: |r| r.telemetry.as_ref().map_or(0, |t| t.counters.len()),
+        run: |cfg, r| r.telemetry = Some(run_telemetry(cfg)).inspect(print_telemetry),
+    },
+    Section {
+        flag: Some("--trace"),
+        key: Some("trace"),
+        rows: "stages",
+        noun: "trace stage",
+        header: &[
+            ("scenario",           Text,        |r, _| text(&r.trace().scenario)),
+            ("edges",              AtLeastOne,  |r, _| num(r.trace().edges as f64)),
+            ("epochs",             AtLeastOne,  |r, _| num(r.trace().epochs as f64)),
+            ("stable_fingerprint", Digest,      |r, _| text(&r.trace().stable_fingerprint)),
+        ],
+        row: &[
+            ("stage",              Text,        |r, i| text(&r.trace().stages[i].stage)),
+            ("count",              AtLeastOne,  |r, i| num(r.trace().stages[i].count as f64)),
+            ("p50_ns",             NonNegative, |r, i| num(r.trace().stages[i].p50_ns as f64)),
+            ("p99_ns",             NonNegative, |r, i| num(r.trace().stages[i].p99_ns as f64)),
+        ],
+        must_include: Some(("stage", "merge")),
+        len: |r| r.trace.as_ref().map_or(0, |t| t.stages.len()),
+        run: |cfg, r| r.trace = Some(run_trace(cfg)).inspect(print_trace),
+    },
+];
+
+/// Engine row `i`'s ingest rate over the `S = 1` row's; left out when the
+/// grid has no `S = 1` row.
+fn speedup_vs_s1(r: &Report, i: usize) -> Value {
+    let rate = |e: &EngineResult| e.measurement.edges_per_sec;
+    let s1 = r.engine.iter().find(|e| e.shards == 1);
+    s1.map_or(Value::Null, |s1| num(round2(rate(&r.engine[i]) / rate(s1))))
+}
+
+/// Serve row `i`'s ingest rate over the zero-reader row's; left out when
+/// the grid has no `r0` row.
+fn rate_vs_r0(r: &Report, i: usize) -> Value {
+    let rate = |e: &ServeResult| e.measurement.edges_per_sec;
+    let r0 = r.serve.iter().find(|e| e.readers == 0);
+    r0.map_or(Value::Null, |r0| num(round2(rate(&r.serve[i]) / rate(r0))))
+}
+
+/// Builds the machine-readable baseline document from [`SECTIONS`]:
+/// optional sections appear only when the report holds rows for them.
+pub fn results_json(report: &Report) -> Value {
+    let emit = |fields: &[Field], i| -> Vec<(&str, Value)> {
+        fields
+            .iter()
+            .map(|&(key, _, get)| (key, get(report, i)))
+            .filter(|(_, v)| *v != Value::Null)
+            .collect()
+    };
+    let mut doc = Vec::new();
+    for s in &SECTIONS {
+        let len = (s.len)(report);
+        if s.flag.is_some() && len == 0 {
+            continue;
+        }
+        let mut body = emit(s.header, 0);
+        let rows = (0..len).map(|i| Value::object(emit(s.row, i))).collect();
+        body.push((s.rows, Value::Array(rows)));
+        match s.key {
+            Some(key) => doc.push((key, Value::object(body))),
+            None => doc.extend(body),
+        }
+    }
+    Value::object(doc)
+}
+
+/// Validates a parsed baseline document against [`SECTIONS`]. Returns the
+/// list of problems (empty = valid). Keys the table does not declare, such
+/// as the `hashmap`/`speedup` fields of early documents, are ignored.
 pub fn validate_baseline(doc: &Value) -> Vec<String> {
     let mut problems = Vec::new();
-    match doc.get_str("schema") {
-        Some(SCHEMA) => {}
-        Some(other) => problems.push(format!("unexpected schema '{other}'")),
-        None => problems.push("missing 'schema'".into()),
-    }
-    for key in ["git_rev", "mode"] {
-        if doc.get_str(key).is_none() {
-            problems.push(format!("missing '{key}'"));
+    for s in &SECTIONS {
+        if s.flag.is_some() && doc.get(s.key.unwrap_or(s.rows)).is_none() {
+            continue;
         }
-    }
-    let Some(scenarios) = doc.get("scenarios").and_then(Value::as_array) else {
-        problems.push("missing 'scenarios' array".into());
-        return problems;
-    };
-    if scenarios.is_empty() {
-        problems.push("'scenarios' is empty".into());
-    }
-    for (i, s) in scenarios.iter().enumerate() {
-        for field in REQUIRED_SCENARIO_FIELDS {
-            if s.get(field).is_none() {
-                problems.push(format!("scenario {i} missing '{field}'"));
+        let body = s.key.and_then(|key| doc.get(key)).unwrap_or(doc);
+        let title = s
+            .key
+            .map_or("document".into(), |key| format!("{key} section"));
+        check_fields(body, s.header, &title, &mut problems);
+        let rows = body
+            .get(s.rows)
+            .and_then(Value::as_array)
+            .unwrap_or_default();
+        if rows.is_empty() {
+            problems.push(format!("{title} missing '{}' entries", s.rows));
+            continue;
+        }
+        for (i, row) in rows.iter().enumerate() {
+            check_fields(row, s.row, &format!("{} {i}", s.noun), &mut problems);
+        }
+        if let Some((field, value)) = s.must_include {
+            if !rows.iter().any(|row| row.get_str(field) == Some(value)) {
+                let owner = s.key.unwrap_or("document");
+                problems.push(format!("{owner} {} missing '{value}'", s.rows));
             }
-        }
-        validate_measurements(s, &format!("scenario {i}"), &mut problems);
-    }
-    // Optional section (absent in documents predating the baselines port):
-    // the ported gps-baselines grid, same measurement shape.
-    if let Some(baselines) = doc.get("baseline_samplers").and_then(Value::as_array) {
-        for (i, s) in baselines.iter().enumerate() {
-            for field in ["name", "method", "capacity", "edges", "compact"] {
-                if s.get(field).is_none() {
-                    problems.push(format!("baseline {i} missing '{field}'"));
-                }
-            }
-            validate_measurements(s, &format!("baseline {i}"), &mut problems);
-        }
-    }
-    // Optional section (absent in documents predating gps-engine): the
-    // sharded-ingest scaling grid.
-    if let Some(engine) = doc.get("engine") {
-        for field in ["stream", "weight", "capacity", "edges"] {
-            if engine.get(field).is_none() {
-                problems.push(format!("engine section missing '{field}'"));
-            }
-        }
-        match engine.get("shards").and_then(Value::as_array) {
-            Some(entries) if !entries.is_empty() => {
-                for (i, entry) in entries.iter().enumerate() {
-                    match entry.get_f64("shards") {
-                        Some(s) if s >= 1.0 => {}
-                        _ => problems.push(format!("engine entry {i} has invalid 'shards'")),
-                    }
-                    for field in ["name", "elapsed_ns", "ns_per_edge", "edges_per_sec"] {
-                        match (field, entry.get(field)) {
-                            (_, None) => {
-                                problems.push(format!("engine entry {i} missing '{field}'"))
-                            }
-                            ("name", Some(_)) => {}
-                            (_, Some(v)) => match v.as_f64() {
-                                Some(x) if x > 0.0 => {}
-                                _ => problems
-                                    .push(format!("engine entry {i} {field} is not positive")),
-                            },
-                        }
-                    }
-                }
-            }
-            _ => problems.push("engine section missing 'shards' entries".into()),
-        }
-    }
-    // Optional section (absent in documents predating gps-serve): the
-    // live-serving grid — ingest under concurrent readers plus staleness.
-    if let Some(serve) = doc.get("serve") {
-        for field in ["stream", "weight", "capacity", "shards", "edges"] {
-            if serve.get(field).is_none() {
-                problems.push(format!("serve section missing '{field}'"));
-            }
-        }
-        match serve.get("readers").and_then(Value::as_array) {
-            Some(entries) if !entries.is_empty() => {
-                for (i, entry) in entries.iter().enumerate() {
-                    if entry.get("name").is_none() {
-                        problems.push(format!("serve entry {i} missing 'name'"));
-                    }
-                    // Counters that may legitimately be zero (r0 has no
-                    // reads; a fast quick run may sample zero lag).
-                    for field in [
-                        "readers",
-                        "reads",
-                        "staleness_mean_edges",
-                        "staleness_max_edges",
-                    ] {
-                        match entry.get_f64(field) {
-                            Some(x) if x >= 0.0 => {}
-                            Some(_) => {
-                                problems.push(format!("serve entry {i} {field} is negative"))
-                            }
-                            None => problems.push(format!("serve entry {i} missing '{field}'")),
-                        }
-                    }
-                    for field in ["elapsed_ns", "ns_per_edge", "edges_per_sec"] {
-                        match entry.get_f64(field) {
-                            Some(x) if x > 0.0 => {}
-                            Some(_) => {
-                                problems.push(format!("serve entry {i} {field} is not positive"))
-                            }
-                            None => problems.push(format!("serve entry {i} missing '{field}'")),
-                        }
-                    }
-                }
-            }
-            _ => problems.push("serve section missing 'readers' entries".into()),
-        }
-    }
-    // Optional section (absent in documents predating the fault-tolerance
-    // work): the crash-recovery grid — clean vs faulted ingest, exact loss
-    // ledger counts, and the gated degraded-epoch probe.
-    if let Some(chaos) = doc.get("chaos") {
-        for field in ["stream", "weight", "capacity", "edges"] {
-            if chaos.get(field).is_none() {
-                problems.push(format!("chaos section missing '{field}'"));
-            }
-        }
-        match chaos.get("shards").and_then(Value::as_array) {
-            Some(entries) if !entries.is_empty() => {
-                for (i, entry) in entries.iter().enumerate() {
-                    if entry.get("name").is_none() {
-                        problems.push(format!("chaos entry {i} missing 'name'"));
-                    }
-                    match entry.get_f64("shards") {
-                        Some(s) if s >= 1.0 => {}
-                        _ => problems.push(format!("chaos entry {i} has invalid 'shards'")),
-                    }
-                    if entry.get("clean").is_none() {
-                        problems.push(format!("chaos entry {i} missing 'clean'"));
-                    }
-                    if entry.get("faulted").is_none() {
-                        problems.push(format!("chaos entry {i} missing 'faulted'"));
-                    }
-                    validate_measurement_objects(
-                        entry,
-                        &["clean", "faulted"],
-                        &format!("chaos entry {i}"),
-                        &mut problems,
-                    );
-                    // A supervised crash always loses at least the
-                    // panicking arrival and restarts the worker once —
-                    // zeros here mean the scripted fault never fired.
-                    for field in ["arrivals_lost", "restarts"] {
-                        match entry.get_f64(field) {
-                            Some(x) if x >= 1.0 => {}
-                            Some(_) => problems.push(format!(
-                                "chaos entry {i} {field} says the scripted crash never fired"
-                            )),
-                            None => problems.push(format!("chaos entry {i} missing '{field}'")),
-                        }
-                    }
-                    // Timing-dependent counters that may legitimately be
-                    // zero (a race-free probe run).
-                    for field in ["epochs", "degraded_epochs"] {
-                        match entry.get_f64(field) {
-                            Some(x) if x >= 0.0 => {}
-                            Some(_) => {
-                                problems.push(format!("chaos entry {i} {field} is negative"))
-                            }
-                            None => problems.push(format!("chaos entry {i} missing '{field}'")),
-                        }
-                    }
-                }
-            }
-            _ => problems.push("chaos section missing 'shards' entries".into()),
-        }
-    }
-    // Optional section (absent in documents predating gps-sim): the
-    // discrete-event scale-out sweep — virtual-time quality numbers, so
-    // the checks are about ledger shape, not wall-clock positivity.
-    if let Some(sim) = doc.get("sim") {
-        if sim.get("edges").is_none() {
-            problems.push("sim section missing 'edges'".into());
-        }
-        match sim.get("points").and_then(Value::as_array) {
-            Some(points) if !points.is_empty() => {
-                for (i, p) in points.iter().enumerate() {
-                    for field in ["name", "skew", "scenario"] {
-                        if p.get_str(field).is_none() {
-                            problems.push(format!("sim point {i} missing '{field}'"));
-                        }
-                    }
-                    match p.get_f64("shards") {
-                        Some(s) if s >= 1.0 => {}
-                        _ => problems.push(format!("sim point {i} has invalid 'shards'")),
-                    }
-                    // The merge-tree identity is the simulator's core
-                    // claim: a 0 here means the tree merge diverged from
-                    // the flat merge and the document must not validate.
-                    match p.get_f64("tree_identical") {
-                        Some(x) => {
-                            if x != 1.0 {
-                                problems.push(format!(
-                                    "sim point {i} tree_identical says the merge tree diverged"
-                                ));
-                            }
-                        }
-                        None => problems.push(format!("sim point {i} missing 'tree_identical'")),
-                    }
-                    for field in [
-                        "pushed",
-                        "tri_are",
-                        "wedge_are",
-                        "tri_covered",
-                        "wedge_covered",
-                        "epochs",
-                        "degraded_epochs",
-                        "staleness_max_ns",
-                        "staleness_mean_ns",
-                        "arrivals_lost",
-                        "restarts",
-                        "finished_at_ns",
-                    ] {
-                        match p.get_f64(field) {
-                            Some(x) if x >= 0.0 => {}
-                            Some(_) => problems.push(format!("sim point {i} {field} is negative")),
-                            None => problems.push(format!("sim point {i} missing '{field}'")),
-                        }
-                    }
-                }
-            }
-            _ => problems.push("sim section missing 'points' entries".into()),
-        }
-    }
-    // Optional section (absent in documents predating gps-telemetry): one
-    // deterministic stable-counter capture plus the digest that pins it.
-    if let Some(t) = doc.get("telemetry") {
-        if t.get_str("scenario").is_none() {
-            problems.push("telemetry section missing 'scenario'".into());
-        }
-        for field in ["edges", "shards"] {
-            match t.get_f64(field) {
-                Some(x) if x >= 1.0 => {}
-                _ => problems.push(format!("telemetry section has invalid '{field}'")),
-            }
-        }
-        match t.get_str("stable_fingerprint") {
-            Some(fp) if fp.len() == 16 && fp.bytes().all(|b| b.is_ascii_hexdigit()) => {}
-            Some(_) => {
-                problems.push("telemetry stable_fingerprint is not a 64-bit hex digest".into())
-            }
-            None => problems.push("telemetry section missing 'stable_fingerprint'".into()),
-        }
-        match t.get("counters").and_then(Value::as_array) {
-            Some(entries) if !entries.is_empty() => {
-                for (i, entry) in entries.iter().enumerate() {
-                    if entry.get_str("name").is_none() {
-                        problems.push(format!("telemetry counter {i} missing 'name'"));
-                    }
-                    match entry.get_f64("value") {
-                        Some(x) if x >= 0.0 => {}
-                        Some(_) => {
-                            problems.push(format!("telemetry counter {i} value is negative"))
-                        }
-                        None => problems.push(format!("telemetry counter {i} missing 'value'")),
-                    }
-                }
-                // A capture without the engine's arrival ledger measured
-                // nothing — the section must carry the core counter.
-                if !entries
-                    .iter()
-                    .any(|e| e.get_str("name") == Some("gps_engine_arrivals_total"))
-                {
-                    problems.push("telemetry counters missing 'gps_engine_arrivals_total'".into());
-                }
-            }
-            _ => problems.push("telemetry section missing 'counters' entries".into()),
-        }
-    }
-    // Optional section (absent in documents predating the flight
-    // recorder): per-stage latency attribution plus the digest pinning
-    // the retained timelines.
-    if let Some(t) = doc.get("trace") {
-        if t.get_str("scenario").is_none() {
-            problems.push("trace section missing 'scenario'".into());
-        }
-        for field in ["edges", "epochs"] {
-            match t.get_f64(field) {
-                Some(x) if x >= 1.0 => {}
-                _ => problems.push(format!("trace section has invalid '{field}'")),
-            }
-        }
-        match t.get_str("stable_fingerprint") {
-            Some(fp) if fp.len() == 16 && fp.bytes().all(|b| b.is_ascii_hexdigit()) => {}
-            Some(_) => problems.push("trace stable_fingerprint is not a 64-bit hex digest".into()),
-            None => problems.push("trace section missing 'stable_fingerprint'".into()),
-        }
-        match t.get("stages").and_then(Value::as_array) {
-            Some(entries) if !entries.is_empty() => {
-                for (i, entry) in entries.iter().enumerate() {
-                    if entry.get_str("stage").is_none() {
-                        problems.push(format!("trace stage {i} missing 'stage'"));
-                    }
-                    match entry.get_f64("count") {
-                        Some(x) if x >= 1.0 => {}
-                        _ => problems.push(format!("trace stage {i} has invalid 'count'")),
-                    }
-                    for field in ["p50_ns", "p99_ns"] {
-                        match entry.get_f64(field) {
-                            Some(x) if x >= 0.0 => {}
-                            _ => problems.push(format!("trace stage {i} has invalid '{field}'")),
-                        }
-                    }
-                }
-                // A traced run that never reached the merge stage traced
-                // nothing — the table must carry the pipeline's heart.
-                if !entries.iter().any(|e| e.get_str("stage") == Some("merge")) {
-                    problems.push("trace stages missing 'merge'".into());
-                }
-            }
-            _ => problems.push("trace section missing 'stages' entries".into()),
         }
     }
     problems
 }
 
-/// Checks the `compact` measurement object of one entry.
-fn validate_measurements(entry: &Value, what: &str, problems: &mut Vec<String>) {
-    validate_measurement_objects(entry, &["compact"], what, problems);
+fn check_fields(obj: &Value, fields: &[Field], what: &str, problems: &mut Vec<String>) {
+    for &(key, rule, _) in fields {
+        check(what, key, rule, obj.get(key), problems);
+    }
 }
 
-/// Checks the named measurement objects of one entry (those present; the
-/// caller reports which keys are required).
-fn validate_measurement_objects(
-    entry: &Value,
-    keys: &[&str],
-    what: &str,
-    problems: &mut Vec<String>,
-) {
-    for key in keys {
-        if let Some(m) = entry.get(key) {
+/// Checks one field of `what`; `key` names it in problems (a dotted path
+/// inside measurement objects).
+fn check(what: &str, key: &str, rule: Rule, value: Option<&Value>, problems: &mut Vec<String>) {
+    let Some(v) = value else {
+        problems.push(format!("{what} missing '{key}'"));
+        return;
+    };
+    let x = v.as_f64();
+    let complaint = match rule {
+        Schema if v.as_str() != Some(SCHEMA) => "is not the v1 schema id",
+        Text if v.as_str().is_none() => "is not a string",
+        Positive if !x.is_some_and(|x| x > 0.0) => "is not positive",
+        NonNegative if !x.is_some_and(|x| x >= 0.0) => "is negative",
+        AtLeastOne if !x.is_some_and(|x| x >= 1.0) => "is less than 1",
+        One if x != Some(1.0) => "is not 1",
+        Digest if !v.as_str().is_some_and(is_digest) => "is not a 64-bit hex digest",
+        Timing => {
             for field in ["elapsed_ns", "ns_per_edge", "edges_per_sec"] {
-                match m.get_f64(field) {
-                    Some(x) if x > 0.0 => {}
-                    Some(_) => problems.push(format!("{what} {key}.{field} is not positive")),
-                    None => problems.push(format!("{what} {key} missing '{field}'")),
-                }
+                check(
+                    what,
+                    &format!("{key}.{field}"),
+                    Positive,
+                    v.get(field),
+                    problems,
+                );
             }
+            return;
         }
+        _ => return,
+    };
+    problems.push(format!("{what} {key} {complaint}"));
+}
+
+fn is_digest(s: &str) -> bool {
+    s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit())
+}
+
+fn print_sampler(name: &str, edges: usize, m: &Measurement) {
+    println!(
+        "{:<28} {:>9} edges  sampler {:>8.1} ns/e ({:>7.3} Me/s)",
+        name,
+        edges,
+        m.ns_per_edge,
+        m.edges_per_sec / 1e6,
+    );
+}
+
+fn print_engine(r: &EngineResult) {
+    println!(
+        "{:<28} {:>9} edges  ingest  {:>8.1} ns/e ({:>7.3} Me/s)  [{} shard{}]",
+        r.scenario,
+        r.edges,
+        r.measurement.ns_per_edge,
+        r.measurement.edges_per_sec / 1e6,
+        r.shards,
+        if r.shards == 1 { "" } else { "s" },
+    );
+}
+
+fn print_serve(r: &ServeResult) {
+    println!(
+        "{:<34} {:>9} edges  ingest  {:>8.1} ns/e ({:>7.3} Me/s)  [{} reader{}, {} reads, lag mean {:.0} max {}]",
+        r.scenario,
+        r.edges,
+        r.measurement.ns_per_edge,
+        r.measurement.edges_per_sec / 1e6,
+        r.readers,
+        if r.readers == 1 { "" } else { "s" },
+        r.reads,
+        r.staleness_mean_edges,
+        r.staleness_max_edges,
+    );
+}
+
+fn print_chaos(r: &ChaosResult) {
+    println!(
+        "{:<34} {:>9} edges  clean {:>8.1} ns/e  faulted {:>8.1} ns/e  [lost {}, {} restart{}, degraded {}/{} epochs]",
+        r.scenario,
+        r.edges,
+        r.clean.ns_per_edge,
+        r.faulted.ns_per_edge,
+        r.arrivals_lost,
+        r.restarts,
+        if r.restarts == 1 { "" } else { "s" },
+        r.degraded_epochs,
+        r.epochs,
+    );
+}
+
+fn print_sim(p: &gps_sim::SweepPoint) {
+    println!(
+        "{:<34} {:>9} edges  tri ARE {:>6.3} (cov {})  wedge ARE {:>6.3} (cov {})  [{}/{} degraded epochs, stale max {:.2} ms, lost {}, tree {}]",
+        p.name(),
+        p.pushed,
+        p.tri_are,
+        u8::from(p.tri_covered),
+        p.wedge_are,
+        u8::from(p.wedge_covered),
+        p.degraded_epochs,
+        p.epochs,
+        p.staleness_max_ns as f64 / 1e6,
+        p.lost_arrivals,
+        if p.tree_identical { "ok" } else { "DIVERGED" },
+    );
+}
+
+fn print_telemetry(t: &TelemetryResult) {
+    println!(
+        "{:<34} {:>9} edges  stable fingerprint {}  [{} counters]",
+        t.scenario,
+        t.edges,
+        t.stable_fingerprint,
+        t.counters.len(),
+    );
+}
+
+fn print_trace(t: &TraceResult) {
+    println!(
+        "{:<34} {:>9} edges  stable fingerprint {}  [{} epochs; manual-clock constants, not latencies]",
+        t.scenario, t.edges, t.stable_fingerprint, t.epochs,
+    );
+    for s in &t.stages {
+        println!(
+            "  {:<20} n={:<4} p50 {:>9} ns  p99 {:>9} ns",
+            s.stage, s.count, s.p50_ns, s.p99_ns
+        );
     }
 }
 
@@ -1625,7 +1469,6 @@ mod tests {
     /// distinct per-row timings so the `speedup_vs_s1` / `rate_vs_r0`
     /// ratios and the two-decimal rounding are exercised.
     fn all_sections_document() -> Value {
-        let cfg = tiny_cfg();
         let edges = 6_000usize;
         let compact = to_measurement(1_234_567, edges);
         let result = ScenarioResult {
@@ -1731,20 +1574,18 @@ mod tests {
             ],
             stable_fingerprint: "00c0ffee00c0ffee".into(),
         };
-        results_json(
-            &cfg,
-            "deadbeef",
-            &[result],
-            OptionalGrids {
-                baselines: &[baseline],
-                engine: &engine,
-                serve: &serve,
-                chaos: &chaos,
-                sim: &sim,
-                telemetry: Some(&telemetry),
-                trace: Some(&trace),
-            },
-        )
+        results_json(&Report {
+            cfg: tiny_cfg(),
+            git_rev: "deadbeef".into(),
+            scenarios: vec![result],
+            baselines: vec![baseline],
+            engine,
+            serve,
+            chaos,
+            sim,
+            telemetry: Some(telemetry),
+            trace: Some(trace),
+        })
     }
 
     /// Key order, number formatting, two-decimal rounding and the
@@ -1755,6 +1596,101 @@ mod tests {
             all_sections_document().to_pretty(),
             include_str!("../tests/data/all_sections.json")
         );
+    }
+
+    fn member<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Object(members) => {
+                let found = members.iter_mut().find(|(k, _)| k == key);
+                &mut found.expect("member present").1
+            }
+            _ => panic!("'{key}' looked up in a non-object"),
+        }
+    }
+
+    /// The object holding section `s`'s header: its own, or the root.
+    fn section_body<'a>(doc: &'a mut Value, s: &Section) -> &'a mut Value {
+        match s.key {
+            Some(key) => member(doc, key),
+            None => doc,
+        }
+    }
+
+    fn section_row<'a>(doc: &'a mut Value, s: &Section, i: usize) -> &'a mut Value {
+        match member(section_body(doc, s), s.rows) {
+            Value::Array(rows) => &mut rows[i],
+            _ => panic!("'{}' is not an array", s.rows),
+        }
+    }
+
+    fn remove(obj: &mut Value, key: &str) {
+        if let Value::Object(members) = obj {
+            members.retain(|(k, _)| k != key);
+        }
+    }
+
+    fn out_of_range(rule: Rule) -> Value {
+        match rule {
+            Schema => text("gps-bench/other/v0"),
+            Text => num(1.0),
+            Positive | AtLeastOne | One => num(0.0),
+            NonNegative => num(-1.0),
+            Digest => text("nope"),
+            Timing => json::parse(r#"{"elapsed_ns": 0, "ns_per_edge": 1, "edges_per_sec": 1}"#)
+                .expect("literal parses"),
+        }
+    }
+
+    /// Breaks a copy of `valid` and asserts the validator reports exactly
+    /// one problem, about `key` of `what`.
+    fn expect_one_problem(valid: &Value, what: &str, key: &str, breakage: impl FnOnce(&mut Value)) {
+        let mut doc = valid.clone();
+        breakage(&mut doc);
+        let problems = validate_baseline(&doc);
+        assert!(
+            problems.len() == 1
+                && problems[0].starts_with(&format!("{what} "))
+                && problems[0].contains(key),
+            "{what} '{key}': {problems:?}"
+        );
+    }
+
+    #[test]
+    fn validation_flags_every_missing_or_out_of_range_field() {
+        let valid = all_sections_document();
+        assert!(validate_baseline(&valid).is_empty());
+        for s in &SECTIONS {
+            let title = s
+                .key
+                .map_or("document".into(), |key| format!("{key} section"));
+            for &(key, rule, _) in s.header {
+                expect_one_problem(&valid, &title, key, |doc| remove(section_body(doc, s), key));
+                expect_one_problem(&valid, &title, key, |doc| {
+                    *member(section_body(doc, s), key) = out_of_range(rule)
+                });
+            }
+            // Break a row that the "rows must include" check does not lean on.
+            let mut doc = valid.clone();
+            let rows = member(section_body(&mut doc, s), s.rows)
+                .as_array()
+                .expect("rows");
+            let i = rows
+                .iter()
+                .position(|row| {
+                    s.must_include
+                        .is_none_or(|(f, v)| row.get_str(f) != Some(v))
+                })
+                .expect("a row the include check does not need");
+            let what = format!("{} {i}", s.noun);
+            for &(key, rule, _) in s.row {
+                expect_one_problem(&valid, &what, key, |doc| {
+                    remove(section_row(doc, s, i), key)
+                });
+                expect_one_problem(&valid, &what, key, |doc| {
+                    *member(section_row(doc, s, i), key) = out_of_range(rule)
+                });
+            }
+        }
     }
 
     #[test]
@@ -1774,12 +1710,11 @@ mod tests {
             compact,
         };
         // Without the optional sections (the committed-file shape)…
-        let doc = results_json(
-            &cfg,
-            "deadbeef",
-            std::slice::from_ref(&result),
-            OptionalGrids::default(),
-        );
+        let doc = results_json(&Report {
+            cfg,
+            scenarios: vec![result],
+            ..Report::default()
+        });
         assert!(doc.get("baseline_samplers").is_none());
         assert!(doc.get("engine").is_none());
         assert!(doc.get("serve").is_none());
@@ -1867,15 +1802,11 @@ mod tests {
         assert!(counter("gps_sampler_inserts_total").unwrap() > 0);
         assert!(counter("gps_engine_checkpoints_total").unwrap() > 0);
         // And the emitted section round-trips through the validator.
-        let doc = results_json(
-            &cfg,
-            "deadbeef",
-            &[],
-            OptionalGrids {
-                telemetry: Some(&a),
-                ..OptionalGrids::default()
-            },
-        );
+        let doc = results_json(&Report {
+            cfg,
+            telemetry: Some(a),
+            ..Report::default()
+        });
         let parsed = json::parse(&doc.to_pretty()).expect("emitted JSON must parse");
         let problems = validate_baseline(&parsed);
         // The empty scenarios array is the only complaint expected here.
@@ -1937,15 +1868,11 @@ mod tests {
             "inter-epoch latency is exactly the driver's clock step"
         );
         // And the emitted section round-trips through the validator.
-        let doc = results_json(
-            &cfg,
-            "deadbeef",
-            &[],
-            OptionalGrids {
-                trace: Some(&a),
-                ..OptionalGrids::default()
-            },
-        );
+        let doc = results_json(&Report {
+            cfg,
+            trace: Some(a),
+            ..Report::default()
+        });
         let parsed = json::parse(&doc.to_pretty()).expect("emitted JSON must parse");
         let problems = validate_baseline(&parsed);
         // The empty scenarios array is the only complaint expected here.
@@ -1976,13 +1903,13 @@ mod tests {
         let problems = validate_baseline(&doc);
         assert!(problems
             .iter()
-            .any(|p| p.contains("trace section has invalid 'epochs'")));
+            .any(|p| p.contains("trace section epochs is less than 1")));
         assert!(problems
             .iter()
-            .any(|p| p.contains("trace stable_fingerprint is not a 64-bit hex digest")));
+            .any(|p| p.contains("trace section stable_fingerprint is not a 64-bit hex digest")));
         assert!(problems
             .iter()
-            .any(|p| p.contains("trace stage 0 has invalid 'p50_ns'")));
+            .any(|p| p.contains("trace stage 0 p50_ns is negative")));
         assert!(problems.iter().any(|p| p.contains("missing 'merge'")));
     }
 
@@ -2135,7 +2062,7 @@ mod tests {
             .any(|p| p.contains("engine section missing 'weight'")));
         assert!(problems
             .iter()
-            .any(|p| p.contains("engine entry 0 has invalid 'shards'")));
+            .any(|p| p.contains("engine entry 0 shards is less than 1")));
         assert!(problems
             .iter()
             .any(|p| p.contains("engine entry 0 elapsed_ns is not positive")));
@@ -2167,7 +2094,7 @@ mod tests {
             .any(|p| p.contains("chaos entry 0 clean.elapsed_ns is not positive")));
         assert!(problems
             .iter()
-            .any(|p| p.contains("chaos entry 0 restarts says the scripted crash never fired")));
+            .any(|p| p.contains("chaos entry 0 restarts is less than 1")));
         assert!(problems
             .iter()
             .any(|p| p.contains("chaos entry 0 missing 'arrivals_lost'")));
@@ -2191,7 +2118,7 @@ mod tests {
             .any(|p| p.contains("sim point 0 missing 'name'")));
         assert!(problems
             .iter()
-            .any(|p| p.contains("sim point 0 tree_identical says the merge tree diverged")));
+            .any(|p| p.contains("sim point 0 tree_identical is not 1")));
         assert!(problems
             .iter()
             .any(|p| p.contains("sim point 0 tri_are is negative")));
