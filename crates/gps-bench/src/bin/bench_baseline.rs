@@ -45,10 +45,9 @@
 //!   250 µs step, every other stage 0 — not latencies.
 //! - `--check PATH`: *instead of* writing, validate the committed baseline
 //!   at `PATH` against `perf::SECTIONS` (schema, every declared field and
-//!   its range) and fail — exit code 1 — if the
-//!   current sampler throughput falls below `min-ratio` × the
-//!   committed number for any shared scenario (default ratio 0.5, i.e. a
-//!   >2× regression trips it).
+//!   its range) and fail — exit code 1 — if the current sampler
+//!   throughput falls below `min-ratio` × the committed number for any
+//!   shared scenario (default ratio 0.5, i.e. a >2× regression trips it).
 
 use gps_bench::json::{self, Value};
 use gps_bench::perf::{self, PerfConfig, ScenarioResult};

@@ -1321,13 +1321,8 @@ fn check(what: &str, key: &str, rule: Rule, value: Option<&Value>, problems: &mu
         Digest if !v.as_str().is_some_and(is_digest) => "is not a 64-bit hex digest",
         Timing => {
             for field in ["elapsed_ns", "ns_per_edge", "edges_per_sec"] {
-                check(
-                    what,
-                    &format!("{key}.{field}"),
-                    Positive,
-                    v.get(field),
-                    problems,
-                );
+                let path = format!("{key}.{field}");
+                check(what, &path, Positive, v.get(field), problems);
             }
             return;
         }
