@@ -1,25 +1,24 @@
-//! `bench_baseline` — the repo's reproducible `GPSUpdate` perf harness.
+//! `bench_baseline` — the paper's §6 update-cost grid and the determinism
+//! fingerprints.
 //!
-//! Runs the update-throughput scenario grid (weights × streams × reservoir
-//! sizes) and writes a machine-readable baseline (`BENCH_PR2.json` by default) so every future perf PR has a
-//! trajectory to beat.
+//! Times `GPSUpdate` over the scenario grid (weights × streams × reservoir
+//! sizes) and writes a machine-readable document (`BENCH_PR2.json` by
+//! default). The optional sections add the ported baselines (the timing
+//! half of Table 2) and the determinism fingerprints. End-to-end engine
+//! and serving throughput belong to the repository benchmark,
+//! `perfbench/` (see `BENCHMARK.json`).
 //!
 //! ```text
 //! bench_baseline [--quick] [--iters N] [--seed N] [--out PATH]
-//!                [--baselines] [--engine] [--serve] [--chaos] [--sim]
-//!                [--telemetry] [--trace] [--check PATH [--min-ratio R]]
+//!                [--baselines] [--chaos] [--sim] [--telemetry] [--trace]
+//!                [--check PATH [--min-ratio R]]
 //! ```
 //!
 //! - `--quick`: reduced streams and capacities (CI smoke scale).
+//! - `--iters N`: timed runs per scenario, best kept (at least 1).
 //! - `--out PATH`: where to write the baseline (default `BENCH_PR2.json`).
 //! - `--baselines`: additionally measure the ported `gps-baselines`
-//!   samplers and include the grid in the output document (`baseline_samplers` section; see docs/benchmarks.md).
-//! - `--engine`: additionally measure the `gps-engine` sharded ingest at
-//!   S ∈ {1, 2, 4, 8} shards and include the scaling grid in the output
-//!   document (`engine` section; schema stays v1-compatible).
-//! - `--serve`: additionally measure `gps-serve` live-serving ingest at
-//!   0/1/4 concurrent reader threads, with epoch staleness (`serve`
-//!   section; schema stays v1-compatible).
+//!   samplers (`baseline_samplers` section; see docs/benchmarks.md).
 //! - `--chaos`: additionally measure crash recovery at S ∈ {2, 4} shards —
 //!   clean vs faulted ingest with a scripted mid-stream panic + checkpoint
 //!   restore, exact arrivals-lost/restart counts from the engine's
@@ -47,7 +46,8 @@
 //!   at `PATH` against `perf::SECTIONS` (schema, every declared field and
 //!   its range) and fail — exit code 1 — if the current sampler
 //!   throughput falls below `min-ratio` × the committed number for any
-//!   shared scenario (default ratio 0.5, i.e. a >2× regression trips it).
+//!   shared scenario (default ratio 0.5, i.e. a >2× regression trips it;
+//!   `R` must be finite and above 0).
 
 use gps_bench::json::{self, Value};
 use gps_bench::perf::{self, PerfConfig, ScenarioResult};
@@ -78,7 +78,10 @@ fn parse_args() -> Result<Args, String> {
             "--iters" => {
                 args.cfg.iters = take("--iters")?
                     .parse()
-                    .map_err(|e| format!("--iters: {e}"))?
+                    .map_err(|e| format!("--iters: {e}"))?;
+                if args.cfg.iters == 0 {
+                    return Err("--iters must be at least 1".to_owned());
+                }
             }
             "--seed" => {
                 args.cfg.seed = take("--seed")?
@@ -90,7 +93,10 @@ fn parse_args() -> Result<Args, String> {
             "--min-ratio" => {
                 args.min_ratio = take("--min-ratio")?
                     .parse()
-                    .map_err(|e| format!("--min-ratio: {e}"))?
+                    .map_err(|e| format!("--min-ratio: {e}"))?;
+                if !(args.min_ratio.is_finite() && args.min_ratio > 0.0) {
+                    return Err("--min-ratio must be finite and above 0".to_owned());
+                }
             }
             "--help" | "-h" => {
                 let sections: String = section_flags().map(|f| format!(" [{f}]")).collect();
