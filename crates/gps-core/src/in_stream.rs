@@ -42,45 +42,21 @@ pub struct InStreamTotals {
     pub tri_wedge_cov: f64,
 }
 
-/// Portable snapshot of every Algorithm-3 accumulator an
-/// [`InStreamEstimator`] carries beyond its sampler's sample: the five
-/// global [`InStreamTotals`] plus the per-sampled-edge covariance
-/// accumulators `C̃_k(△), C̃_k(Λ)` (paper Alg 3 lines 39–40).
-///
-/// Together with the sampler's own persisted state this makes a resumed
-/// estimator *exact*: [`InStreamEstimator::resume`] reinstates everything,
-/// so estimates after the handover are bit-identical to an uninterrupted
-/// run at the same watermark — unlike [`InStreamEstimator::from_sampler`],
-/// which re-seeds from a post-stream estimate and loses the cross-snapshot
-/// covariance terms. The `gps-sample v2` persist section carries this
-/// state on disk.
-#[derive(Clone, Debug, PartialEq)]
-pub struct InStreamState {
-    /// The five global accumulators.
-    pub totals: InStreamTotals,
-    /// Per sampled edge `(C̃_k(△), C̃_k(Λ))`, parallel to the
-    /// [`GpsSampler::edges`] iteration order of the sampler the state was
-    /// exported from.
-    pub per_edge: Vec<(f64, f64)>,
-}
-
-impl InStreamState {
-    /// The state of a fresh estimator over an empty sampler.
-    pub fn empty() -> Self {
-        InStreamState {
-            totals: InStreamTotals::default(),
-            per_edge: Vec::new(),
-        }
-    }
-
-    /// The full state of an estimator that [`InStreamEstimator::into_parts`]
-    /// split into `sampler` and `totals`: the per-edge accumulators are read
-    /// back from the sampler's records.
-    pub fn of<W: EdgeWeight>(sampler: &GpsSampler<W>, totals: InStreamTotals) -> Self {
-        InStreamState {
-            totals,
-            per_edge: sampler.covariances().collect(),
-        }
+impl InStreamTotals {
+    /// The estimates `Ñ(△), Ñ(Λ), Ṽ(△), Ṽ(Λ), Ṽ(△,Λ)` these totals hold,
+    /// with the derived clustering coefficient.
+    pub fn estimates(&self) -> TriadEstimates {
+        TriadEstimates::from_parts(
+            Estimate {
+                value: self.n_tri,
+                variance: self.v_tri,
+            },
+            Estimate {
+                value: self.n_wedge,
+                variance: self.v_wedge,
+            },
+            self.tri_wedge_cov,
+        )
     }
 }
 
@@ -121,11 +97,16 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
     /// for every subgraph completed before the handover, and snapshots of
     /// subgraphs completed afterwards add their increments on top, keeping
     /// the running totals unbiased across the handover. The per-edge
-    /// covariance accumulators restart at zero — covariance between pre-
-    /// and post-handover snapshots is not tracked (the persist format does
-    /// not carry it), so variance estimates straddling a handover are
-    /// slightly understated.
-    pub fn from_sampler(sampler: GpsSampler<W>) -> Self {
+    /// covariance accumulators restart at zero, whatever the sampler's
+    /// records held — covariance between pre- and post-handover snapshots
+    /// is not tracked, so variance estimates straddling a handover are
+    /// slightly understated. [`InStreamEstimator::resume`] is the exact
+    /// handover.
+    pub fn from_sampler(mut sampler: GpsSampler<W>) -> Self {
+        for record in sampler.estimator_parts().0.records_mut() {
+            record.cov_tri = 0.0;
+            record.cov_wedge = 0.0;
+        }
         // On an empty (fresh) sampler the post-stream estimate is the
         // all-zero bundle, so this single path covers both fresh wrapping
         // and resume.
@@ -144,17 +125,10 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
         }
     }
 
-    /// Consumes the estimator, returning the underlying sampler (e.g. to
-    /// persist it — the snapshot formats store samples, not accumulators).
+    /// Consumes the estimator, returning the underlying sampler (its
+    /// records keep the per-edge covariance accumulators).
     pub fn into_sampler(self) -> GpsSampler<W> {
         self.sampler
-    }
-
-    /// Exports the full Algorithm-3 accumulator state. Pair with the
-    /// sampler's persisted sample (the `gps-sample v2` section does both)
-    /// and [`InStreamEstimator::resume`] for an exact handover.
-    pub fn export_state(&self) -> InStreamState {
-        InStreamState::of(&self.sampler, self.acc)
     }
 
     /// The five global accumulators (the per-edge ones stay in the
@@ -165,46 +139,25 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
     }
 
     /// Consumes the estimator, returning the sampler — whose records keep
-    /// the per-edge covariance accumulators — and the global totals, with
-    /// no copy of the per-edge state. [`InStreamState::of`] rebuilds the
-    /// full state from the two halves.
+    /// the per-edge covariance accumulators — and the global totals.
+    /// [`InStreamEstimator::resume`] puts the two halves back together.
     pub fn into_parts(self) -> (GpsSampler<W>, InStreamTotals) {
         (self.sampler, self.acc)
     }
 
-    /// Exact resume: wraps `sampler` and reinstates a previously
-    /// [`export_state`]ed accumulator snapshot, including the per-edge
-    /// covariance accumulators (written back in [`GpsSampler::edges`]
-    /// order, which restored samplers preserve).
+    /// Exact resume: wraps `sampler`, whose records carry the per-edge
+    /// covariance accumulators, and reinstates the global `totals` of the
+    /// estimator the two were taken from ([`InStreamEstimator::into_parts`],
+    /// or a `gps-sample v2` section restored through
+    /// `gps_core::persist::SavedSample::into_sampler`).
     ///
-    /// Subsequent estimates are bit-identical to the estimator the state
-    /// was exported from — the exactness contract the `gps-sample v2`
-    /// persist section and engine checkpoints rely on.
-    ///
-    /// # Panics
-    ///
-    /// If `state.per_edge` does not have exactly one entry per sampled
-    /// edge (the persist layer validates this before calling; direct
-    /// callers pairing a sampler with a state from elsewhere have a logic
-    /// error).
-    ///
-    /// [`export_state`]: InStreamEstimator::export_state
-    pub fn resume(mut sampler: GpsSampler<W>, state: InStreamState) -> Self {
-        let (slab, _z) = sampler.estimator_parts();
-        assert_eq!(
-            state.per_edge.len(),
-            slab.len(),
-            "in-stream state covers {} edges but the sampler holds {}",
-            state.per_edge.len(),
-            slab.len()
-        );
-        for (record, &(cov_tri, cov_wedge)) in slab.records_mut().iter_mut().zip(&state.per_edge) {
-            record.cov_tri = cov_tri;
-            record.cov_wedge = cov_wedge;
-        }
+    /// Subsequent estimates are bit-identical to that estimator's — the
+    /// exactness contract the `gps-sample v2` persist section and engine
+    /// checkpoints rely on.
+    pub fn resume(sampler: GpsSampler<W>, totals: InStreamTotals) -> Self {
         InStreamEstimator {
             sampler,
-            acc: state.totals,
+            acc: totals,
             tri_buf: Vec::new(),
             wedge_buf: Vec::new(),
         }
@@ -284,17 +237,7 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
     /// Current snapshot estimates `Ñ(△), Ñ(Λ), Ṽ(△), Ṽ(Λ), Ṽ(△,Λ)` and
     /// the derived clustering coefficient.
     pub fn estimates(&self) -> TriadEstimates {
-        TriadEstimates::from_parts(
-            Estimate {
-                value: self.acc.n_tri,
-                variance: self.acc.v_tri,
-            },
-            Estimate {
-                value: self.acc.n_wedge,
-                variance: self.acc.v_wedge,
-            },
-            self.acc.tri_wedge_cov,
-        )
+        self.acc.estimates()
     }
 
     /// Triangle count estimate `Ñ(△)` (cheap accessor for tracking loops).
@@ -498,8 +441,7 @@ mod tests {
             "split must land after evictions started"
         );
         let (sampler, totals) = first.into_parts();
-        let state = InStreamState::of(&sampler, totals);
-        let mut resumed = InStreamEstimator::resume(sampler, state);
+        let mut resumed = InStreamEstimator::resume(sampler, totals);
         resumed.process_stream(edges[split..].iter().copied());
 
         let (a, b) = (full.estimates(), resumed.estimates());
@@ -515,20 +457,17 @@ mod tests {
 
     #[test]
     fn resume_after_sampler_round_trip_is_exact_at_watermark() {
-        // Persist-style round trip: rebuild the sampler from raw records
+        // Persist-style round trip: rebuild the sampler from its records
         // (fresh RNG — statistically equivalent, not bit-identical going
-        // forward) and reinstate the exported state. At the save watermark
-        // the estimates must be bit-identical to the original estimator.
+        // forward) and reinstate the totals. At the save watermark the
+        // estimates must be bit-identical to the original estimator.
         let edges = eviction_stream();
         let mut orig = InStreamEstimator::new(8, TriangleWeight::default(), 11);
         orig.process_stream(edges.iter().copied().take(60));
-        let state = orig.export_state();
+        let totals = orig.totals();
         let before = orig.estimates();
         let sampler = orig.sampler();
-        let records: Vec<_> = sampler
-            .edges()
-            .map(|s| (s.edge, s.weight, s.priority))
-            .collect();
+        let records = sampler.view().records().to_vec();
         let rebuilt = GpsSampler::restore(
             8,
             TriangleWeight::default(),
@@ -537,7 +476,7 @@ mod tests {
             sampler.arrivals(),
             records,
         );
-        let resumed = InStreamEstimator::resume(rebuilt, state.clone());
+        let resumed = InStreamEstimator::resume(rebuilt, totals);
         let after = resumed.estimates();
         assert_eq!(
             before.triangles.value.to_bits(),
@@ -556,25 +495,37 @@ mod tests {
             before.tri_wedge_cov.to_bits(),
             after.tri_wedge_cov.to_bits()
         );
-        // And the round trip preserved the per-edge accumulators exactly.
-        assert_eq!(resumed.export_state(), state);
+        // And the round trip preserved every accumulator exactly.
+        assert_eq!(resumed.totals(), totals);
+        assert_eq!(covariances(&resumed), covariances(&orig));
+    }
+
+    /// Per-edge `(C̃_k(△), C̃_k(Λ))` in slot order.
+    fn covariances<W: EdgeWeight>(est: &InStreamEstimator<W>) -> Vec<(f64, f64)> {
+        let records = est.view().records();
+        records.iter().map(|r| (r.cov_tri, r.cov_wedge)).collect()
     }
 
     #[test]
-    #[should_panic(expected = "in-stream state covers")]
-    fn resume_rejects_mismatched_per_edge_length() {
-        let mut sampler = GpsSampler::new(8, UniformWeight, 1);
-        sampler.process_stream(k4_edges());
-        let mut state = InStreamState::empty();
-        state.per_edge.push((0.0, 0.0));
-        let _ = InStreamEstimator::resume(sampler, state);
+    fn from_sampler_zeroes_per_edge_accumulators() {
+        // A sampler taken from a running estimator keeps its records'
+        // accumulators; wrapping it again must restart them at zero, so
+        // the result does not depend on where the sample came from.
+        let mut est = InStreamEstimator::new(8, TriangleWeight::default(), 11);
+        est.process_stream(eviction_stream());
+        assert!(
+            covariances(&est).iter().any(|&(t, w)| t != 0.0 || w != 0.0),
+            "stream too small to exercise per-edge accumulators"
+        );
+        let wrapped = InStreamEstimator::from_sampler(est.into_sampler());
+        assert!(covariances(&wrapped).iter().all(|&pair| pair == (0.0, 0.0)));
     }
 
     #[test]
     fn empty_state_matches_fresh_estimator() {
         assert_eq!(
-            InStreamEstimator::new(4, UniformWeight, 0).export_state(),
-            InStreamState::empty()
+            InStreamEstimator::new(4, UniformWeight, 0).totals(),
+            InStreamTotals::default()
         );
     }
 

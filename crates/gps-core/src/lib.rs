@@ -58,7 +58,7 @@ pub mod subset;
 pub mod weights;
 
 pub use estimate::{variance_of_mean, Estimate, TriadEstimates};
-pub use in_stream::{InStreamEstimator, InStreamState, InStreamTotals};
+pub use in_stream::{InStreamEstimator, InStreamTotals};
 pub use reservoir::{Arrival, GpsSampler, SampleView, SampledEdge, SamplerStats};
 pub use snapshot::MotifCounter;
 pub use weights::{EdgeWeight, FnWeight, TriadWeight, TriangleWeight, UniformWeight, WedgeWeight};

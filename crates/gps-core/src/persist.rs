@@ -42,18 +42,25 @@
 //! ...
 //! ```
 //!
-//! Restoring a v2 section through [`SavedSample::into_estimator`] is
-//! *exact*: the resumed estimator's estimates are bit-identical to the
-//! saved one's at the save watermark, and the cross-snapshot covariance
-//! terms keep accumulating correctly afterwards — unlike a v1 restore,
-//! which re-seeds the accumulators from a post-stream estimate (see
+//! A loaded section is exactly what Algorithm 3 keeps: the sampler's
+//! [`EdgeRecord`]s (the covariance pair is zero in a v1 section) and, for
+//! v2, the [`InStreamTotals`]. Restoring a v2 section is
+//! [`SavedSample::into_sampler`] followed by
+//! [`InStreamEstimator::resume`] with its totals, and is *exact*: the
+//! resumed estimator's estimates are bit-identical to the saved one's at
+//! the save watermark, and the cross-snapshot covariance terms keep
+//! accumulating correctly afterwards — unlike a v1 restore, which re-seeds
+//! the accumulators from a post-stream estimate (see
 //! [`InStreamEstimator::from_sampler`]). Both section kinds compose in the
 //! same container streams ([`load_section`] dispatches on the magic line).
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
-use crate::in_stream::{InStreamEstimator, InStreamState, InStreamTotals};
+#[cfg(doc)]
+use crate::in_stream::InStreamEstimator;
+use crate::in_stream::InStreamTotals;
 use crate::reservoir::GpsSampler;
+use crate::slab::EdgeRecord;
 use crate::weights::EdgeWeight;
 use gps_graph::types::Edge;
 use gps_graph::FxHashSet;
@@ -130,18 +137,26 @@ pub struct SavedSample {
     pub arrivals: u64,
     /// Threshold `z*` when saved.
     pub threshold: f64,
-    /// Sampled `(edge, weight, priority)` records.
-    pub records: Vec<(Edge, f64, f64)>,
-    /// In-stream accumulator state (`gps-sample v2` sections only; `None`
-    /// for v1). `per_edge` is parallel to `records`.
-    pub in_stream: Option<InStreamState>,
+    /// The sampled records: edge, weight, priority and the Alg. 3
+    /// covariance pair (zero in a `gps-sample v1` section).
+    pub records: Vec<EdgeRecord>,
+    /// The global in-stream accumulators (`gps-sample v2` sections only;
+    /// `None` for v1).
+    pub totals: Option<InStreamTotals>,
 }
 
 impl SavedSample {
-    /// Rebuilds a sampler from the saved state, discarding any in-stream
-    /// accumulator state. Pass the weight function to use if the sampler
-    /// will keep consuming the stream; for purely retrospective use any
-    /// weight function works (stored weights are what estimation reads).
+    /// Rebuilds a sampler from the saved records, covariance pairs
+    /// included; [`InStreamEstimator::resume`] with [`SavedSample::totals`]
+    /// makes it an estimator again. Pass the weight function to use if the
+    /// sampler will keep consuming the stream; for purely retrospective use
+    /// any weight function works (stored weights are what estimation
+    /// reads).
+    ///
+    /// # Panics
+    /// On records [`load_section`] would have rejected: more records than
+    /// the capacity, a duplicate edge, or a weight, priority or threshold
+    /// out of range.
     pub fn into_sampler<W: EdgeWeight>(self, weight_fn: W, seed: u64) -> GpsSampler<W> {
         GpsSampler::restore(
             self.capacity,
@@ -152,52 +167,15 @@ impl SavedSample {
             self.records,
         )
     }
-
-    /// Rebuilds an in-stream estimator from the saved state. A v2 section
-    /// resumes *exactly* (accumulators reinstated, estimates bit-identical
-    /// at the save watermark); a v1 section falls back to the inexact
-    /// post-stream re-seeding of [`InStreamEstimator::from_sampler`].
-    pub fn into_estimator<W: EdgeWeight>(self, weight_fn: W, seed: u64) -> InStreamEstimator<W> {
-        let SavedSample {
-            capacity,
-            arrivals,
-            threshold,
-            records,
-            in_stream,
-        } = self;
-        let sampler = GpsSampler::restore(capacity, weight_fn, seed, threshold, arrivals, records);
-        match in_stream {
-            // The v2 parser guarantees one per-edge entry per record, so
-            // `resume`'s length contract holds for any loaded section.
-            Some(state) => InStreamEstimator::resume(sampler, state),
-            None => InStreamEstimator::from_sampler(sampler),
-        }
-    }
 }
 
-/// Writes the sampler's estimation state to `writer`.
+/// Writes the sampler's estimation state to `writer` as a `gps-sample v1`
+/// section.
 pub fn save<W: EdgeWeight, Out: Write>(
     sampler: &GpsSampler<W>,
     writer: Out,
 ) -> Result<(), PersistError> {
-    let mut w = BufWriter::new(writer);
-    writeln!(w, "{MAGIC}")?;
-    writeln!(w, "capacity {}", sampler.capacity())?;
-    writeln!(w, "arrivals {}", sampler.arrivals())?;
-    writeln!(w, "threshold {}", sampler.threshold())?;
-    writeln!(w, "edges {}", sampler.len())?;
-    for se in sampler.edges() {
-        writeln!(
-            w,
-            "{} {} {} {}",
-            se.edge.u(),
-            se.edge.v(),
-            se.weight,
-            se.priority
-        )?;
-    }
-    w.flush()?;
-    Ok(())
+    write_section(sampler, None, writer)
 }
 
 /// Saves to a file path. See [`save`].
@@ -208,49 +186,51 @@ pub fn save_file<W: EdgeWeight, P: AsRef<std::path::Path>>(
     save(sampler, std::fs::File::create(path)?)
 }
 
-/// Writes an in-stream estimator's sampler *and* accumulator state to
-/// `writer` as a `gps-sample v2` section. Restoring through
-/// [`SavedSample::into_estimator`] is exact (see the module docs).
-pub fn save_estimator<W: EdgeWeight, Out: Write>(
-    est: &InStreamEstimator<W>,
-    writer: Out,
-) -> Result<(), PersistError> {
-    save_with_totals(est.sampler(), &est.totals(), writer)
-}
-
-/// The parts form of [`save_estimator`]: writes the two halves
-/// [`InStreamEstimator::into_parts`] returns — a sampler, whose records
-/// carry the per-edge covariance accumulators, and the global
-/// [`InStreamTotals`] — as a `gps-sample v2` section. Container formats
-/// that hold the halves separately (a finished `gps-engine` keeps each
-/// shard's sampler next to its totals) write sections through this.
+/// Writes an in-stream estimator's state as a `gps-sample v2` section:
+/// the two halves [`InStreamEstimator::into_parts`] returns — a sampler,
+/// whose records carry the per-edge covariance accumulators, and the
+/// global [`InStreamTotals`]. Restoring is exact (see the module docs).
 pub fn save_with_totals<W: EdgeWeight, Out: Write>(
     sampler: &GpsSampler<W>,
     totals: &InStreamTotals,
     writer: Out,
 ) -> Result<(), PersistError> {
+    write_section(sampler, Some(totals), writer)
+}
+
+/// The one section writer: v1 without `totals`, v2 (an `acc` header line
+/// and the covariance pair on every record) with them.
+fn write_section<W: EdgeWeight, Out: Write>(
+    sampler: &GpsSampler<W>,
+    totals: Option<&InStreamTotals>,
+    writer: Out,
+) -> Result<(), PersistError> {
     let mut w = BufWriter::new(writer);
-    writeln!(w, "{MAGIC_V2}")?;
+    writeln!(w, "{}", if totals.is_some() { MAGIC_V2 } else { MAGIC })?;
     writeln!(w, "capacity {}", sampler.capacity())?;
     writeln!(w, "arrivals {}", sampler.arrivals())?;
     writeln!(w, "threshold {}", sampler.threshold())?;
-    writeln!(
-        w,
-        "acc {} {} {} {} {}",
-        totals.n_tri, totals.v_tri, totals.n_wedge, totals.v_wedge, totals.tri_wedge_cov
-    )?;
-    writeln!(w, "edges {}", sampler.len())?;
-    for (se, (cov_tri, cov_wedge)) in sampler.edges().zip(sampler.covariances()) {
+    if let Some(t) = totals {
         writeln!(
             w,
-            "{} {} {} {} {} {}",
-            se.edge.u(),
-            se.edge.v(),
-            se.weight,
-            se.priority,
-            cov_tri,
-            cov_wedge
+            "acc {} {} {} {} {}",
+            t.n_tri, t.v_tri, t.n_wedge, t.v_wedge, t.tri_wedge_cov
         )?;
+    }
+    writeln!(w, "edges {}", sampler.len())?;
+    for r in sampler.view().records() {
+        write!(
+            w,
+            "{} {} {} {}",
+            r.edge.u(),
+            r.edge.v(),
+            r.weight,
+            r.priority
+        )?;
+        if totals.is_some() {
+            write!(w, " {} {}", r.cov_tri, r.cov_wedge)?;
+        }
+        writeln!(w)?;
     }
     w.flush()?;
     Ok(())
@@ -388,7 +368,6 @@ pub fn load_section<R: BufRead>(r: &mut R) -> Result<SavedSample, PersistError> 
     // not a capacity-overflow panic. The vector still grows to any honest
     // count.
     let mut records = Vec::with_capacity(count.min(1 << 20));
-    let mut per_edge = Vec::with_capacity(if v2 { count.min(1 << 20) } else { 0 });
     let mut seen: FxHashSet<u64> = FxHashSet::default();
     seen.reserve(count.min(1 << 20));
     let mut body_line = header_lines;
@@ -422,21 +401,21 @@ pub fn load_section<R: BufRead>(r: &mut R) -> Result<SavedSample, PersistError> 
         if !(weight.is_finite() && weight > 0.0 && priority.is_finite() && priority > 0.0) {
             return Err(parse_err(body_line, trimmed));
         }
+        let edge = Edge::try_new(u, v).ok_or_else(|| parse_err(body_line, trimmed))?;
+        let mut record = EdgeRecord::new(edge, weight, priority);
         if v2 {
-            let cov_tri: f64 = next()?.parse().map_err(|_| parse_err(body_line, trimmed))?;
-            let cov_wedge: f64 = next()?.parse().map_err(|_| parse_err(body_line, trimmed))?;
-            if !(cov_tri.is_finite() && cov_wedge.is_finite()) {
+            record.cov_tri = next()?.parse().map_err(|_| parse_err(body_line, trimmed))?;
+            record.cov_wedge = next()?.parse().map_err(|_| parse_err(body_line, trimmed))?;
+            if !(record.cov_tri.is_finite() && record.cov_wedge.is_finite()) {
                 return Err(parse_err(body_line, trimmed));
             }
-            per_edge.push((cov_tri, cov_wedge));
         }
-        let edge = Edge::try_new(u, v).ok_or_else(|| parse_err(body_line, trimmed))?;
         if !seen.insert(edge.key()) {
             return Err(PersistError::Invalid(format!(
                 "line {body_line}: duplicate edge {edge}"
             )));
         }
-        records.push((edge, weight, priority));
+        records.push(record);
     }
     // Checked once the body is read, so a declared count the body cannot
     // back is a CountMismatch whatever the capacity says.
@@ -445,16 +424,13 @@ pub fn load_section<R: BufRead>(r: &mut R) -> Result<SavedSample, PersistError> 
             "{count} records exceed capacity {capacity}"
         )));
     }
-    let in_stream = acc.map(
-        |[n_tri, v_tri, n_wedge, v_wedge, tri_wedge_cov]| InStreamState {
-            totals: InStreamTotals {
-                n_tri,
-                v_tri,
-                n_wedge,
-                v_wedge,
-                tri_wedge_cov,
-            },
-            per_edge,
+    let totals = acc.map(
+        |[n_tri, v_tri, n_wedge, v_wedge, tri_wedge_cov]| InStreamTotals {
+            n_tri,
+            v_tri,
+            n_wedge,
+            v_wedge,
+            tri_wedge_cov,
         },
     );
     Ok(SavedSample {
@@ -462,7 +438,7 @@ pub fn load_section<R: BufRead>(r: &mut R) -> Result<SavedSample, PersistError> 
         arrivals,
         threshold,
         records,
-        in_stream,
+        totals,
     })
 }
 
@@ -474,6 +450,7 @@ pub fn load_file<P: AsRef<std::path::Path>>(path: P) -> Result<SavedSample, Pers
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::in_stream::InStreamEstimator;
     use crate::post_stream;
     use crate::weights::{TriangleWeight, UniformWeight};
 
@@ -617,17 +594,23 @@ mod tests {
         est.process_stream(edges);
         assert!(est.sampler().threshold() > 0.0);
         let before = est.estimates();
-        let state = est.export_state();
+        let totals = est.totals();
+        let covariances = |s: &GpsSampler<TriangleWeight>| -> Vec<(f64, f64)> {
+            let records = s.view().records();
+            records.iter().map(|r| (r.cov_tri, r.cov_wedge)).collect()
+        };
+        let per_edge = covariances(est.sampler());
         assert!(
-            state.per_edge.iter().any(|&(t, w)| t != 0.0 || w != 0.0),
+            per_edge.iter().any(|&(t, w)| t != 0.0 || w != 0.0),
             "stream too small to exercise per-edge accumulators"
         );
 
         let mut buf = Vec::new();
-        save_estimator(&est, &mut buf).unwrap();
+        save_with_totals(est.sampler(), &totals, &mut buf).unwrap();
         let saved = load(buf.as_slice()).unwrap();
-        assert_eq!(saved.in_stream.as_ref(), Some(&state));
-        let restored = saved.into_estimator(TriangleWeight::default(), 3);
+        assert_eq!(saved.totals, Some(totals));
+        let sampler = saved.into_sampler(TriangleWeight::default(), 3);
+        let restored = InStreamEstimator::resume(sampler, totals);
         let after = restored.estimates();
         assert_eq!(
             before.triangles.value.to_bits(),
@@ -646,7 +629,8 @@ mod tests {
             before.tri_wedge_cov.to_bits(),
             after.tri_wedge_cov.to_bits()
         );
-        assert_eq!(restored.export_state(), state);
+        assert_eq!(restored.totals(), totals);
+        assert_eq!(covariances(restored.sampler()), per_edge);
     }
 
     #[test]
@@ -656,13 +640,13 @@ mod tests {
         est.process_stream((0..30u32).map(|i| Edge::new(i, i + 1)));
         let mut buf = Vec::new();
         save(&sampler, &mut buf).unwrap();
-        save_estimator(&est, &mut buf).unwrap();
+        save_with_totals(est.sampler(), &est.totals(), &mut buf).unwrap();
         let mut r = std::io::BufReader::new(buf.as_slice());
         let s1 = load_section(&mut r).unwrap();
         let s2 = load_section(&mut r).unwrap();
-        assert!(s1.in_stream.is_none());
-        let state = s2.in_stream.as_ref().expect("v2 section carries state");
-        assert_eq!(state.per_edge.len(), s2.records.len());
+        assert!(s1.totals.is_none());
+        assert_eq!(s2.totals, Some(est.totals()), "v2 section carries totals");
+        assert_eq!(s2.records.len(), est.sampler().len());
     }
 
     #[test]

@@ -350,9 +350,10 @@ impl<W: EdgeWeight> GpsSampler<W> {
         CompactAdjacency::with_capacity(2 * (capacity + 1), capacity + 1)
     }
 
-    /// Restores a sampler from a previously saved sample state (see
-    /// `gps_core::persist`): the sampled edges with their original weights
-    /// and priorities, plus the threshold `z*` and the stream position.
+    /// Restores a sampler from saved records (see
+    /// `gps_core::persist::SavedSample::into_sampler`): the sampled edges
+    /// with their original weights, priorities and in-stream covariance
+    /// accumulators, plus the threshold `z*` and the stream position.
     ///
     /// Post-stream estimation on the restored sampler is *identical* to
     /// estimation on the original. The RNG restarts from `seed`, so if the
@@ -365,7 +366,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
     /// a duplicate edge is supplied, or a weight/priority is not finite and
     /// positive. A section loaded through `gps_core::persist` never
     /// panics here: the loader rejects all of these as a `PersistError`.
-    pub fn restore<I>(
+    pub(crate) fn restore<I>(
         capacity: usize,
         weight_fn: W,
         seed: u64,
@@ -374,7 +375,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
         records: I,
     ) -> Self
     where
-        I: IntoIterator<Item = (Edge, f64, f64)>,
+        I: IntoIterator<Item = EdgeRecord>,
     {
         assert!(capacity > 0, "reservoir capacity must be positive");
         assert!(
@@ -395,7 +396,8 @@ impl<W: EdgeWeight> GpsSampler<W> {
             evictions: 0,
             rejections: 0,
         };
-        for (edge, weight, priority) in records {
+        for record in records {
+            let (edge, weight, priority) = (record.edge, record.weight, record.priority);
             assert!(
                 weight.is_finite() && weight > 0.0 && priority > 0.0,
                 "invalid record for {edge}: weight {weight}, priority {priority}"
@@ -404,7 +406,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
                 !sampler.adj.contains(edge),
                 "duplicate edge {edge} in restored sample"
             );
-            let slot = sampler.slab.push(EdgeRecord::new(edge, weight, priority));
+            let slot = sampler.slab.push(record);
             let (_, hints) = sampler.adj.insert_with_hints(edge, slot);
             sampler.slab.get_mut(slot).hints = hints;
             sampler.heap.push(HeapEntry { priority, slot });
@@ -530,7 +532,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
     }
 
     /// Always-on ingest counters (see [`SamplerStats`]). Counter fields
-    /// restart from zero on [`GpsSampler::restore`] (only `arrivals`
+    /// restart from zero on a restore from a saved sample (only `arrivals`
     /// carries the checkpointed stream position), so consumers harvesting
     /// across restarts should track deltas per sampler instance.
     #[inline]
@@ -620,13 +622,6 @@ impl<W: EdgeWeight> GpsSampler<W> {
     /// accumulators) plus the threshold `z*`.
     pub(crate) fn estimator_parts(&mut self) -> (&mut Slab, f64) {
         (&mut self.slab, self.z_star)
-    }
-
-    /// Per-edge covariance accumulators `(C̃_k(△), C̃_k(Λ))`, in the same
-    /// slot order as [`GpsSampler::edges`] (all zero unless an
-    /// [`crate::InStreamEstimator`] drove this sampler).
-    pub(crate) fn covariances(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.slab.records().iter().map(|r| (r.cov_tri, r.cov_wedge))
     }
 }
 

@@ -41,7 +41,7 @@ use crate::fault::FaultPlan;
 use crate::partition::{shard_seed, EdgePartitioner};
 use crate::snapshot::SavedEngine;
 use gps_core::weights::EdgeWeight;
-use gps_core::{post_stream, GpsSampler, InStreamState, InStreamTotals, TriadEstimates};
+use gps_core::{post_stream, GpsSampler, InStreamTotals, TriadEstimates};
 use gps_graph::types::Edge;
 use gps_graph::BackendKind;
 use gps_telemetry::{
@@ -566,14 +566,10 @@ impl<W: EdgeWeight + Send + 'static> WorkerLoop<W> {
                 }
             }
         }
-        let (sampler, finals, state) = self.runner.into_parts();
+        let (sampler, totals) = self.runner.into_parts();
         let _ = self.event_tx.send(WorkerEvent::Done {
             shard: self.shard,
-            collected: Box::new(Collected {
-                sampler,
-                finals,
-                state,
-            }),
+            collected: Box::new(Collected { sampler, totals }),
         });
     }
 }
@@ -615,8 +611,7 @@ struct Worker {
 /// from its checkpoint when the shard was written off as a straggler).
 struct Collected<W> {
     sampler: GpsSampler<W>,
-    finals: Option<TriadEstimates>,
-    state: Option<InStreamTotals>,
+    totals: Option<InStreamTotals>,
 }
 
 /// Sharded `GPS(m)`: `S` independent reservoirs over a hash-partitioned
@@ -672,8 +667,6 @@ pub struct ShardedGps<W> {
     failed: Option<EngineError>,
     /// Collected samplers; filled by `finish`.
     samplers: Vec<GpsSampler<W>>,
-    /// Per-shard final in-stream estimates (estimating mode, post-finish).
-    in_finals: Vec<Option<TriadEstimates>>,
     /// Per-shard final in-stream totals (estimating mode, post-finish).
     /// With the samplers' records, which hold the per-edge covariance
     /// accumulators, they are what `save` writes as `gps-sample v2`
@@ -767,16 +760,15 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
             health: EngineHealth::default(),
             failed: None,
             samplers: Vec::with_capacity(cfg.shards),
-            in_finals: Vec::with_capacity(cfg.shards),
             in_states: Vec::with_capacity(cfg.shards),
             pushed,
             metrics,
             harvested: false,
             cfg,
         };
-        for (shard, (sampler, state)) in shards.into_iter().enumerate() {
+        for (shard, (sampler, totals)) in shards.into_iter().enumerate() {
             let routed = sampler.arrivals();
-            let runner = engine.runner_for(shard, sampler, state);
+            let runner = engine.runner_for(shard, sampler, totals);
             let ckpt: Arc<Mutex<CheckpointSlot>> =
                 Arc::new(Mutex::new(if engine.cfg.checkpoint_every > 0 {
                     runner.checkpoint_bytes()
@@ -819,17 +811,17 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
     }
 
     /// Wraps a sampler in this engine's per-edge runner (an in-stream
-    /// runner resumes its accumulators exactly when `state` is given).
+    /// runner resumes its accumulators exactly when `totals` are given).
     fn runner_for(
         &self,
         shard: usize,
         sampler: GpsSampler<W>,
-        state: Option<InStreamState>,
+        totals: Option<InStreamTotals>,
     ) -> Runner<W> {
         match &self.estimation {
             Estimation::PostStream => Runner::plain(sampler),
             Estimation::InStream(hook) => {
-                Runner::estimating(shard, sampler, state, hook.clone(), self.cfg.epoch_every)
+                Runner::estimating(shard, sampler, totals, hook.clone(), self.cfg.epoch_every)
             }
         }
     }
@@ -1161,12 +1153,8 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
         // Detach the stuck thread: it holds only channel clones and the
         // checkpoint Arc, and its late Done (if any) is ignored.
         self.workers[s].handle = None;
-        let (sampler, finals, state) = runner.into_parts();
-        self.collected[s] = Some(Collected {
-            sampler,
-            finals,
-            state,
-        });
+        let (sampler, totals) = runner.into_parts();
+        self.collected[s] = Some(Collected { sampler, totals });
     }
 
     /// Drains all pending batches, shuts the channels and collects the
@@ -1260,15 +1248,9 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
             return Err(e);
         }
         for slot in &mut self.collected {
-            if let Some(Collected {
-                sampler,
-                finals,
-                state,
-            }) = slot.take()
-            {
+            if let Some(Collected { sampler, totals }) = slot.take() {
                 self.samplers.push(sampler);
-                self.in_finals.push(finals);
-                self.in_states.push(state);
+                self.in_states.push(totals);
             }
         }
         self.harvest_sampler_stats();
@@ -1337,11 +1319,9 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
     /// Panics unless the engine was launched with [`Estimation::InStream`].
     pub fn estimate_in_stream(&mut self) -> TriadEstimates {
         self.finish();
-        let parts: Vec<TriadEstimates> = self
-            .in_finals
-            .iter()
-            .map(|f| f.expect("engine was not built with in-stream estimation"))
-            .collect();
+        let parts = self
+            .in_stream_parts()
+            .expect("engine was not built with in-stream estimation");
         self.degrade(TriadEstimates::merged_colored(&parts))
     }
 
@@ -1358,10 +1338,13 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
     /// Per-shard final in-stream estimates (estimating mode, after
     /// finish); `None` for a plain engine or while workers are live.
     pub fn in_stream_parts(&self) -> Option<Vec<TriadEstimates>> {
-        if self.in_finals.is_empty() {
+        if self.in_states.is_empty() {
             return None;
         }
-        self.in_finals.iter().copied().collect()
+        self.in_states
+            .iter()
+            .map(|t| t.as_ref().map(InStreamTotals::estimates))
+            .collect()
     }
 
     /// Merged point estimates only — `(triangles, wedges)`, rescaled like

@@ -25,9 +25,9 @@
 
 use crate::engine::{EpochHook, ShardReport};
 use crate::partition::{shard_seed, splitmix64};
-use gps_core::persist::{self, SavedSample};
+use gps_core::persist;
 use gps_core::weights::EdgeWeight;
-use gps_core::{GpsSampler, InStreamEstimator, InStreamState, InStreamTotals, TriadEstimates};
+use gps_core::{GpsSampler, InStreamEstimator, InStreamTotals, TriadEstimates};
 use gps_graph::types::Edge;
 use gps_graph::BackendKind;
 
@@ -70,22 +70,23 @@ impl<W: EdgeWeight> ShardRunner<W> {
     }
 
     /// An in-stream estimating runner for `shard`: wraps `sampler` in an
-    /// [`InStreamEstimator`] — resumed *exactly* from `state` when given,
-    /// seeded from the sampler's post-stream estimate otherwise — and
+    /// [`InStreamEstimator`] — resumed *exactly* with `totals` when given
+    /// (the sampler's records carry the per-edge accumulators), seeded
+    /// from the sampler's post-stream estimate otherwise — and
     /// fires `hook` every `every` per-shard arrivals (report positions are
     /// anchored at the sampler's current arrival watermark, so a resumed
     /// shard keeps its cadence instead of restarting it).
     pub fn estimating(
         shard: usize,
         sampler: GpsSampler<W>,
-        state: Option<InStreamState>,
+        totals: Option<InStreamTotals>,
         hook: Option<EpochHook>,
         every: u64,
     ) -> Self {
         let start = sampler.arrivals();
         let next = start + every;
-        let est = match state {
-            Some(state) => InStreamEstimator::resume(sampler, state),
+        let est = match totals {
+            Some(totals) => InStreamEstimator::resume(sampler, totals),
             None => InStreamEstimator::from_sampler(sampler),
         };
         ShardRunner {
@@ -106,7 +107,7 @@ impl<W: EdgeWeight> ShardRunner<W> {
     /// was corrupt — in which case the shard restarts from scratch with
     /// budget `scratch_capacity` at watermark 0, exactly like the engine's
     /// supervisor. `estimating` selects the runner kind (a v2 section's
-    /// in-stream state is dropped for a plain runner); `every` is the
+    /// in-stream totals are dropped for a plain runner); `every` is the
     /// report cadence for estimating runners.
     ///
     /// A checkpoint is corrupt whenever `persist::load` rejects it, which
@@ -129,24 +130,18 @@ impl<W: EdgeWeight> ShardRunner<W> {
         hook: Option<EpochHook>,
         every: u64,
     ) -> (Self, u64, bool) {
-        let build = |sampler: GpsSampler<W>, state: Option<InStreamState>| {
+        let build = |sampler: GpsSampler<W>, totals: Option<InStreamTotals>| {
             if estimating {
-                Self::estimating(shard, sampler, state, hook, every)
+                Self::estimating(shard, sampler, totals, hook, every)
             } else {
                 Self::plain(sampler)
             }
         };
         match persist::load(bytes) {
-            Ok(SavedSample {
-                capacity,
-                arrivals,
-                threshold,
-                records,
-                in_stream,
-            }) => {
-                let sampler =
-                    GpsSampler::restore(capacity, weight_fn, seed, threshold, arrivals, records);
-                (build(sampler, in_stream), arrivals, false)
+            Ok(saved) => {
+                let (arrivals, totals) = (saved.arrivals, saved.totals);
+                let sampler = saved.into_sampler(weight_fn, seed);
+                (build(sampler, totals), arrivals, false)
             }
             Err(_) => {
                 let sampler = GpsSampler::new(scratch_capacity, weight_fn, seed);
@@ -198,7 +193,9 @@ impl<W: EdgeWeight> ShardRunner<W> {
         let mut bytes = Vec::new();
         let res = match &self.inner {
             Inner::Plain(sampler) => persist::save(sampler, &mut bytes),
-            Inner::Live { est, .. } => persist::save_estimator(est, &mut bytes),
+            Inner::Live { est, .. } => {
+                persist::save_with_totals(est.sampler(), &est.totals(), &mut bytes)
+            }
         };
         // Writing into a Vec cannot fail; if it somehow does, the empty
         // slot restores through the corrupt-checkpoint path (restart from
@@ -230,45 +227,48 @@ impl<W: EdgeWeight> ShardRunner<W> {
         }
     }
 
-    /// Fires the hook if this shard crossed its next reporting position
-    /// (called between batches, so reports align with batch boundaries).
-    pub fn maybe_report(&mut self) {
-        if let Inner::Live {
+    /// Reports if this shard crossed its next reporting position (called
+    /// between batches, so reports align with batch boundaries): the
+    /// report goes to the hook, if any, and is returned. `None` for a plain
+    /// runner or between reporting positions.
+    pub fn maybe_report(&mut self) -> Option<ShardReport> {
+        let Inner::Live {
             shard,
             est,
-            hook: Some(hook),
+            hook,
             every,
             next,
             last_report,
         } = &mut self.inner
-        {
-            let arrivals = est.sampler().arrivals();
-            if arrivals >= *next {
-                while *next <= arrivals {
-                    *next += *every;
-                }
-                let batch_arrivals = arrivals - *last_report;
-                *last_report = arrivals;
-                hook(ShardReport {
-                    shard: *shard,
-                    arrivals,
-                    batch_arrivals,
-                    estimates: est.estimates(),
-                });
-            }
+        else {
+            return None;
+        };
+        let arrivals = est.sampler().arrivals();
+        if arrivals < *next {
+            return None;
         }
+        while *next <= arrivals {
+            *next += *every;
+        }
+        let report = ShardReport {
+            shard: *shard,
+            arrivals,
+            batch_arrivals: arrivals - *last_report,
+            estimates: est.estimates(),
+        };
+        *last_report = arrivals;
+        if let Some(hook) = hook {
+            hook(report);
+        }
+        Some(report)
     }
 
-    /// Final report + teardown at drain end.
-    pub fn into_parts(
-        self,
-    ) -> (
-        GpsSampler<W>,
-        Option<TriadEstimates>,
-        Option<InStreamTotals>,
-    ) {
+    /// Final report + teardown at drain end: the sampler, and the in-stream
+    /// totals of an estimating runner (its estimates are
+    /// [`InStreamTotals::estimates`]).
+    pub fn into_parts(self) -> (GpsSampler<W>, Option<InStreamTotals>) {
         match self.inner {
-            Inner::Plain(sampler) => (sampler, None, None),
+            Inner::Plain(sampler) => (sampler, None),
             Inner::Live {
                 shard,
                 est,
@@ -276,18 +276,17 @@ impl<W: EdgeWeight> ShardRunner<W> {
                 last_report,
                 ..
             } => {
-                let finals = est.estimates();
                 if let Some(hook) = hook {
                     let arrivals = est.sampler().arrivals();
                     hook(ShardReport {
                         shard,
                         arrivals,
                         batch_arrivals: arrivals - last_report,
-                        estimates: finals,
+                        estimates: est.estimates(),
                     });
                 }
                 let (sampler, totals) = est.into_parts();
-                (sampler, Some(finals), Some(totals))
+                (sampler, Some(totals))
             }
         }
     }

@@ -29,7 +29,7 @@
 //!
 //! A plain engine writes `gps-sample v1` sections; an **estimating** engine
 //! writes `v2` sections that additionally carry each shard's in-stream
-//! accumulators and per-edge covariance contributions, so a restored
+//! totals and per-edge covariance accumulators, so a restored
 //! serving engine's in-stream estimates are **bit-identical** to the
 //! original's at the save watermark — not merely re-seeded from the
 //! post-stream estimate. (This is also the substrate the engine's crash
@@ -38,19 +38,19 @@
 //! A [`SavedEngine`] becomes a running engine again through the one
 //! constructor, [`ShardedGps::launch`] with
 //! [`Launch::resume`](crate::Launch::resume) set. The snapshot supplies the
-//! samplers, the in-stream states and the stream position; the caller's
-//! [`EngineConfig`] supplies everything else (checkpointing, cadences,
-//! timeouts), and must name the snapshot's seed, capacity and shard count.
-//! Like `GpsSampler::restore`, a restored engine
-//! estimates identically to the original (up to float summation order from
-//! adjacency rebuild) and may keep consuming the stream with fresh —
-//! statistically equivalent — RNG draws.
+//! samplers (each through [`SavedSample::into_sampler`]), their in-stream
+//! totals and the stream position; the caller's [`EngineConfig`] supplies
+//! everything else (checkpointing, cadences, timeouts), and must name the
+//! snapshot's seed, capacity and shard count. Like a restored sampler, a
+//! restored engine estimates identically to the original (up to float
+//! summation order from adjacency rebuild) and may keep consuming the
+//! stream with fresh — statistically equivalent — RNG draws.
 
 use crate::engine::{EngineConfig, ShardedGps};
 use crate::partition::shard_seed;
 use gps_core::persist::{self, PersistError, SavedSample};
 use gps_core::weights::EdgeWeight;
-use gps_core::{GpsSampler, InStreamState};
+use gps_core::{GpsSampler, InStreamTotals};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
 /// Magic first line of the engine container format.
@@ -95,18 +95,18 @@ impl SavedEngine {
         self.shards.iter().map(|s| s.arrivals).sum()
     }
 
-    /// The per-shard samplers and in-stream states of an engine resumed
+    /// The per-shard samplers and in-stream totals of an engine resumed
     /// on `cfg` (see [`Launch::resume`](crate::Launch::resume)).
     ///
     /// # Panics
     /// Panics if the snapshot's seed, capacity or shard count differs from
     /// `cfg`'s, if its shard budgets do not sum to its capacity, or on
-    /// invalid per-shard records (see `GpsSampler::restore`).
+    /// invalid per-shard records (see [`SavedSample::into_sampler`]).
     pub(crate) fn restore<W: EdgeWeight + Clone>(
         self,
         cfg: &EngineConfig,
         weight_fn: &W,
-    ) -> Vec<(GpsSampler<W>, Option<InStreamState>)> {
+    ) -> Vec<(GpsSampler<W>, Option<InStreamTotals>)> {
         for (field, saved, config) in [
             ("seed", self.seed, cfg.seed),
             ("capacity", self.capacity as u64, cfg.capacity as u64),
@@ -124,15 +124,9 @@ impl SavedEngine {
             self.capacity
         );
         let shards = self.shards.into_iter().enumerate().map(|(i, shard)| {
-            let sampler = GpsSampler::restore(
-                shard.capacity,
-                weight_fn.clone(),
-                shard_seed(cfg.seed, i),
-                shard.threshold,
-                shard.arrivals,
-                shard.records,
-            );
-            (sampler, shard.in_stream)
+            let totals = shard.totals;
+            let sampler = shard.into_sampler(weight_fn.clone(), shard_seed(cfg.seed, i));
+            (sampler, totals)
         });
         shards.collect()
     }
@@ -146,12 +140,12 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
     /// in estimating mode, `v1` otherwise.
     pub fn save<Out: Write>(&mut self, writer: Out) -> Result<(), PersistError> {
         self.finish();
-        let (cfg, samplers, states, _) = self.parts();
+        let (cfg, samplers, totals, _) = self.parts();
         // Sections are staged in memory so the checksum can cover their
         // exact bytes; engine snapshots are sample-sized, not stream-sized.
         let mut sections = Vec::new();
-        for (sampler, state) in samplers.iter().zip(states) {
-            match state {
+        for (sampler, totals) in samplers.iter().zip(totals) {
+            match totals {
                 Some(totals) => persist::save_with_totals(sampler, totals, &mut sections)?,
                 None => persist::save(sampler, &mut sections)?,
             }
@@ -381,8 +375,8 @@ mod tests {
         engine.save(&mut buf).unwrap();
         let saved = load_engine(buf.as_slice()).unwrap();
         // Estimating engines write v2 sections: every shard carries its
-        // in-stream accumulator state.
-        assert!(saved.shards.iter().all(|s| s.in_stream.is_some()));
+        // in-stream totals.
+        assert!(saved.shards.iter().all(|s| s.totals.is_some()));
         let mut restored = resume(saved, TriangleWeight::default(), Estimation::InStream(None));
         // Exact resume: at the save watermark the restored engine's
         // in-stream estimates are bit-identical to the original's — the
@@ -417,7 +411,7 @@ mod tests {
         let mut buf = Vec::new();
         engine.save(&mut buf).unwrap();
         let saved = load_engine(buf.as_slice()).unwrap();
-        assert!(saved.shards.iter().all(|s| s.in_stream.is_none()));
+        assert!(saved.shards.iter().all(|s| s.totals.is_none()));
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("gps-sample v1"));
         assert!(!text.contains("gps-sample v2"));

@@ -96,6 +96,6 @@ proptest! {
         let bytes = saved_bytes(&stream, capacity, shards, seed, live);
         let saved = load_engine(bytes.as_slice()).expect("uncorrupted snapshot");
         prop_assert_eq!(saved.shards.len(), shards);
-        prop_assert!(saved.shards.iter().all(|s| s.in_stream.is_some() == live));
+        prop_assert!(saved.shards.iter().all(|s| s.totals.is_some() == live));
     }
 }

@@ -48,7 +48,11 @@ fn concurrent_queries_never_observe_torn_epochs() {
                 let (mut last_v, mut last_w, mut reads) = (0u64, 0u64, 0u64);
                 // ordering: Relaxed — stop flag only ends the loop; epoch
                 // data synchronizes through the board and its seqlock cell.
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                // Each reader keeps going until it has read one epoch: on a
+                // busy core, ingest and `finish` can complete before a
+                // reader is first scheduled, and `finish` always publishes
+                // a final epoch, so the loop still ends.
+                while reads == 0 || !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let Some(e) = handle.latest() else {
                         std::thread::yield_now();
                         continue;

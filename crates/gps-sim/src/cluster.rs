@@ -32,10 +32,10 @@
 
 use crate::event::Scheduler;
 use crate::net::Link;
-use crate::node::{LeafNode, LeafReport};
+use crate::node::LeafNode;
 use gps_core::weights::EdgeWeight;
 use gps_core::TriadEstimates;
-use gps_engine::{EdgePartitioner, ShardedGps};
+use gps_engine::{EdgePartitioner, ShardReport, ShardedGps};
 use gps_graph::types::Edge;
 use gps_telemetry::{
     EpochTrace, Event as TelemetryEvent, EventKind, Registry, Stability, TelemetrySnapshot,
@@ -263,12 +263,12 @@ enum Event {
     Deliver { shard: usize, edge: Edge },
     /// A leaf report reaches its aggregator.
     Report {
-        report: LeafReport,
+        report: ShardReport,
         generated_at_ns: u64,
     },
     /// An aggregator forwards a report to the root.
     Forward {
-        report: LeafReport,
+        report: ShardReport,
         generated_at_ns: u64,
     },
     /// Root publish tick.

@@ -47,5 +47,5 @@ pub use cluster::{run_cluster, EpochStats, SimConfig, SimFaults, SimOutcome};
 pub use event::Scheduler;
 pub use experiment::{default_sweep, quality_point, stream_for, sweep, Scenario, Skew, SweepPoint};
 pub use net::Link;
-pub use node::{LeafNode, LeafReport};
+pub use node::LeafNode;
 pub use zipf::{zipf_edges, zipf_edges_distinct, Zipf};

@@ -10,26 +10,17 @@
 //! while the node is down are queued (the engine's feed channel survives a
 //! worker crash) and replayed on restore; the restore RNG stream is
 //! re-derived deterministically from the engine seed and restart ordinal.
+//! Epoch reports are the runner's own ([`ShardRunner::maybe_report`]), on
+//! the engine's cadence, anchored at the restored watermark after a
+//! restore.
 
 use gps_core::weights::EdgeWeight;
 use gps_core::GpsSampler;
 use gps_core::TriadEstimates;
 use gps_engine::shard::{restart_seed, ShardRunner};
-use gps_engine::shard_seed;
+use gps_engine::{shard_seed, ShardReport};
 use gps_graph::types::Edge;
 use gps_graph::BackendKind;
-
-/// An epoch report a leaf emits toward its aggregator: the sim-side
-/// equivalent of `gps_engine::ShardReport`.
-#[derive(Clone, Copy, Debug)]
-pub struct LeafReport {
-    /// Reporting shard index.
-    pub shard: usize,
-    /// Per-shard arrivals at report time.
-    pub arrivals: u64,
-    /// The shard's monochromatic in-stream estimates.
-    pub estimates: TriadEstimates,
-}
 
 /// One simulated shard node (see the [module docs](self)).
 pub struct LeafNode<W> {
@@ -44,7 +35,6 @@ pub struct LeafNode<W> {
     ckpt: Vec<u8>,
     ckpt_arrivals: u64,
     next_ckpt: u64,
-    next_report: u64,
     /// Edges delivered while down, replayed in delivery order on restore.
     pending: Vec<Edge>,
     lost: u64,
@@ -65,6 +55,7 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
         epoch_every: u64,
         weight_fn: W,
     ) -> Self {
+        let epoch_every = epoch_every.max(1);
         let sampler = GpsSampler::new(capacity, weight_fn.clone(), shard_seed(engine_seed, shard));
         let runner = ShardRunner::estimating(shard, sampler, None, None, epoch_every);
         let ckpt = runner.checkpoint_bytes();
@@ -79,7 +70,6 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
             ckpt,
             ckpt_arrivals: 0,
             next_ckpt: checkpoint_every.max(1),
-            next_report: epoch_every.max(1),
             pending: Vec::new(),
             lost: 0,
             restarts: 0,
@@ -119,8 +109,8 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
     /// Delivers one routed edge. Down nodes queue it (the engine's feed
     /// channel outlives a crashed worker); live nodes process it through
     /// the production runner, checkpointing on the engine's cadence, and
-    /// return a [`LeafReport`] when the arrival crossed an epoch boundary.
-    pub fn deliver(&mut self, edge: Edge) -> Option<LeafReport> {
+    /// return a [`ShardReport`] when the arrival crossed an epoch boundary.
+    pub fn deliver(&mut self, edge: Edge) -> Option<ShardReport> {
         let Some(runner) = self.runner.as_mut() else {
             self.pending.push(edge);
             return None;
@@ -134,7 +124,7 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
                 self.next_ckpt += self.checkpoint_every;
             }
         }
-        self.report_if_due()
+        runner.maybe_report()
     }
 
     /// Crashes the node *while consuming* `edge` — the engine's panic
@@ -150,7 +140,7 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
     /// real restart path ([`ShardRunner::from_checkpoint`], restart-ordinal
     /// RNG seed) and replays every edge queued while down. Returns the
     /// epoch reports the replay produced, in order.
-    pub fn restore(&mut self) -> Vec<LeafReport> {
+    pub fn restore(&mut self) -> Vec<ShardReport> {
         assert!(self.runner.is_none(), "restore of a live node");
         self.restarts += 1;
         let seed = restart_seed(self.engine_seed, self.shard, self.restarts);
@@ -168,9 +158,6 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
         self.runner = Some(runner);
         self.ckpt_arrivals = watermark;
         self.next_ckpt = watermark + self.checkpoint_every.max(1);
-        // Keep the reporting cadence anchored at the restored watermark,
-        // as the engine's resumed runners do.
-        self.next_report = watermark + self.epoch_every.max(1);
         let pending = std::mem::take(&mut self.pending);
         let mut reports = Vec::new();
         for edge in pending {
@@ -179,22 +166,6 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
             }
         }
         reports
-    }
-
-    fn report_if_due(&mut self) -> Option<LeafReport> {
-        let runner = self.runner.as_ref()?;
-        let arrivals = runner.arrivals();
-        if arrivals < self.next_report {
-            return None;
-        }
-        while self.next_report <= arrivals {
-            self.next_report += self.epoch_every.max(1);
-        }
-        Some(LeafReport {
-            shard: self.shard,
-            arrivals,
-            estimates: runner.estimates()?,
-        })
     }
 }
 

@@ -6,8 +6,8 @@
 //! happen. This crate is the missing substrate: a [`Registry`] of named
 //! atomic [`Counter`]s, [`Gauge`]s, and log2-bucketed [`Histogram`]s, plus
 //! a bounded, lossy-counted structured [`EventRing`], snapshotted into an
-//! immutable [`TelemetrySnapshot`] with Prometheus-style text and JSON
-//! renderers. Per-epoch provenance lives next door: an [`EpochTrace`]
+//! immutable [`TelemetrySnapshot`] with a Prometheus-style text
+//! renderer. Per-epoch provenance lives next door: an [`EpochTrace`]
 //! records one epoch's pipeline stage timeline and the [`FlightRecorder`]
 //! ring retains the recent ones (see [`trace`](crate::EpochTrace)).
 //!

@@ -1,5 +1,5 @@
 //! [`TelemetrySnapshot`]: the immutable capture of a [`crate::Registry`],
-//! with the stable-subset filter, text/JSON exposition, and a
+//! with the stable-subset filter, text exposition, and a
 //! fingerprint for reproducibility pinning.
 
 use crate::metric::{bucket_upper_bound, Stability, BUCKETS};
@@ -172,87 +172,6 @@ impl TelemetrySnapshot {
         out
     }
 
-    /// Minimal JSON rendering (hand-rolled; names are bare identifiers so
-    /// no string escaping is needed). Histogram buckets are emitted
-    /// sparsely as `[bucket_index, count]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":[");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"stability\":\"{}\",\"value\":{}}}",
-                c.name,
-                stability_str(c.stability),
-                c.value
-            );
-        }
-        out.push_str("],\"gauges\":[");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"stability\":\"{}\",\"value\":{}}}",
-                g.name,
-                stability_str(g.stability),
-                g.value
-            );
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"stability\":\"{}\",\"count\":{},\"sum\":{},\"buckets\":[",
-                h.name,
-                stability_str(h.stability),
-                h.count,
-                h.sum
-            );
-            let mut first = true;
-            for (b, &n) in h.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{},{}]", b, n);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"at\":{},\"kind\":\"{}\",\"shard\":{},\"epoch\":{},\"detail\":{}}}",
-                e.at,
-                e.kind.as_str(),
-                match e.shard {
-                    Some(s) => s.to_string(),
-                    None => "null".to_string(),
-                },
-                match e.epoch {
-                    Some(v) => v.to_string(),
-                    None => "null".to_string(),
-                },
-                e.detail
-            );
-        }
-        let _ = write!(out, "],\"events_lost\":{}}}", self.events_lost);
-        out
-    }
-
     /// FNV-1a hash of the text exposition — a stable 64-bit digest for
     /// reproducibility suites (`a.stable().fingerprint() ==
     /// b.stable().fingerprint()` pins the deterministic subset without
@@ -264,13 +183,6 @@ impl TelemetrySnapshot {
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
         hash
-    }
-}
-
-fn stability_str(s: Stability) -> &'static str {
-    match s {
-        Stability::Stable => "stable",
-        Stability::Timing => "timing",
     }
 }
 
@@ -316,20 +228,6 @@ mod tests {
         assert!(text.contains("gps_demo_latency_ns_count 3"));
         assert!(text.contains("gps_telemetry_events_lost_total 0"));
         assert!(text.contains("# event at=7 kind=degraded_epoch shard=- epoch=3 detail=1"));
-    }
-
-    #[test]
-    fn json_exposition_shape() {
-        let json = sample_registry().snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains(
-            "\"name\":\"gps_demo_arrivals_total\",\"stability\":\"stable\",\"value\":10"
-        ));
-        assert!(json.contains("\"count\":3,\"sum\":6,\"buckets\":[[0,1],[2,2]]"));
-        assert!(
-            json.contains("\"kind\":\"degraded_epoch\",\"shard\":null,\"epoch\":3,\"detail\":1")
-        );
-        assert!(json.contains("\"events_lost\":0"));
     }
 
     #[test]
