@@ -425,8 +425,8 @@ mod tests {
 
     #[test]
     fn export_resume_continues_bit_identically_to_uninterrupted_run() {
-        // Split the stream mid-way, export/resume the accumulator state on
-        // the *same* sampler (RNG state carried over), and finish the
+        // Split the stream mid-way, take the estimator apart and resume it
+        // on the *same* sampler (RNG state carried over), and finish the
         // stream: every estimate must be bit-identical to the uninterrupted
         // run — the exactness contract `from_sampler` cannot offer.
         let edges = eviction_stream();
