@@ -344,8 +344,9 @@ impl<W: EdgeWeight> GpsSampler<W> {
     /// edges, because a replacement inserts the arriving edge before it
     /// removes the evicted one (the slab and heap never exceed `capacity`),
     /// hence at most `2 * (capacity + 1)` incident nodes. That bound sizes
-    /// the slot table, spill pool and presence filter; the node-interning
-    /// index is not pre-sized: it grows with the nodes actually sampled.
+    /// the slot table and spill pool; the node-interning index and the
+    /// presence filter are not pre-sized: they grow with the nodes actually
+    /// sampled.
     fn sized_adjacency(capacity: usize) -> CompactAdjacency<SlotId> {
         CompactAdjacency::with_capacity(2 * (capacity + 1), capacity + 1)
     }

@@ -47,6 +47,11 @@
 //!    the dominant cost of the steady-state reject path. A zero proves
 //!    absence; anything else falls through to the real lookup, and a
 //!    counter that saturates at 255 simply sticks (false positives only).
+//!    The table starts at `MIN_FILTER_LEN` (1,024) counters and doubles,
+//!    recounting the live nodes from the slot table, once live nodes would
+//!    exceed a quarter of its length (`FILTER_SLACK`). Like the index, it
+//!    is sized by the live-node peak, not the construction-time capacity,
+//!    so an empty graph's filter is about 1 KiB however much it reserves.
 //!
 //! There is **no edge hash table at all**: `contains`/`get` resolve one
 //! endpoint and search its list (the slot fetch carries the inline list;
@@ -122,6 +127,15 @@ fn block_len(class: u8) -> usize {
 #[inline]
 fn mix(node: NodeId) -> usize {
     ((node as u64).wrapping_mul(MIX_MUL) >> 32) as usize
+}
+
+/// Counts `node` into a presence filter and its bitset mirror (saturating;
+/// `filter.len()` is a power of two).
+#[inline]
+fn count_in(filter: &mut [u8], bits: &mut [u64], node: NodeId) {
+    let idx = mix(node) & (filter.len() - 1);
+    filter[idx] = filter[idx].saturating_add(1);
+    bits[idx >> 6] |= 1 << (idx & 63);
 }
 
 /// The adjacency representation a sampler runs on. [`CompactAdjacency`]
@@ -255,14 +269,11 @@ impl<V: Copy> CompactAdjacency<V> {
     }
 
     /// Creates an empty graph pre-sized for roughly `nodes` distinct nodes
-    /// and `edges` edges: the slot table, spill pool and presence filter
-    /// are allocated up front. The node-interning index is not; it starts
-    /// small and doubles as live nodes arrive, so it is sized by the most
-    /// nodes the graph has held rather than by `nodes`.
+    /// and `edges` edges: the slot table and spill pool are reserved up
+    /// front. The node-interning index and the presence filter are not;
+    /// both start small and double as live nodes arrive, so they are sized
+    /// by the most nodes the graph has held rather than by `nodes`.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        let filter_len = (nodes * FILTER_SLACK)
-            .next_power_of_two()
-            .max(MIN_FILTER_LEN);
         CompactAdjacency {
             index_of: NodeIndex::new(),
             live_nodes: 0,
@@ -271,8 +282,8 @@ impl<V: Copy> CompactAdjacency<V> {
             pool: Vec::with_capacity(edges / 2),
             free_blocks: [FREE_NONE; NUM_CLASSES],
             num_edges: 0,
-            node_filter: vec![0; filter_len],
-            node_bits: vec![0; filter_len / 64],
+            node_filter: vec![0; MIN_FILTER_LEN],
+            node_bits: vec![0; MIN_FILTER_LEN / 64],
             spills: 0,
         }
     }
@@ -809,10 +820,7 @@ impl<V: Copy> CompactAdjacency<V> {
     /// causes false positives, never false negatives).
     #[inline]
     fn filter_add(&mut self, node: NodeId) {
-        let idx = self.filter_index(node);
-        let counter = &mut self.node_filter[idx];
-        *counter = counter.saturating_add(1);
-        self.node_bits[idx >> 6] |= 1 << (idx & 63);
+        count_in(&mut self.node_filter, &mut self.node_bits, node);
     }
 
     /// Removes `node` from the filter. Saturated counters stick.
@@ -829,7 +837,8 @@ impl<V: Copy> CompactAdjacency<V> {
     }
 
     /// Doubles the filter until the live node count fits the slack target,
-    /// recounting every live node (also un-sticks saturated counters).
+    /// recounting every live node straight from the slot table (also
+    /// un-sticks saturated counters).
     #[cold]
     fn grow_filter(&mut self) {
         let target = (self.live_nodes * FILTER_SLACK)
@@ -837,9 +846,8 @@ impl<V: Copy> CompactAdjacency<V> {
             .max(self.node_filter.len() * 2);
         self.node_filter = vec![0; target];
         self.node_bits = vec![0; target / 64];
-        let live: Vec<NodeId> = self.nodes().collect();
-        for node in live {
-            self.filter_add(node);
+        for slot in self.slots.iter().filter(|s| s.len() > 0) {
+            count_in(&mut self.node_filter, &mut self.node_bits, slot.id);
         }
     }
 
@@ -1423,8 +1431,10 @@ mod tests {
 
         let mut sample: CompactAdjacency<u32> =
             CompactAdjacency::with_capacity(2 * (CAP + 1), CAP + 1);
+        assert_eq!(sample.node_filter.len(), MIN_FILTER_LEN);
+        let sizes = |g: &CompactAdjacency<u32>| (g.index_of.buckets(), g.node_filter.len());
         let mut held: Vec<Edge> = Vec::with_capacity(CAP + 1);
-        let (mut peak, mut buckets_at_peak) = (0, 0);
+        let (mut peak, mut sizes_at_peak) = (0, sizes(&sample));
         let mut history = Vec::with_capacity(stream.len());
         for (k, &e) in stream.iter().enumerate() {
             sample.insert(e, k as u32);
@@ -1435,22 +1445,42 @@ mod tests {
             }
             if sample.num_nodes() > peak {
                 peak = sample.num_nodes();
-                buckets_at_peak = sample.index_of.buckets();
+                sizes_at_peak = sizes(&sample);
                 history.clear();
             }
-            history.push(sample.index_of.buckets());
+            history.push(sizes(&sample));
         }
         assert_eq!(sample.index_of.len(), sample.num_nodes());
+        assert_eq!(sample.node_bits.len() * 64, sample.node_filter.len());
         let bound = (peak * 5).div_ceil(4).next_power_of_two();
         assert!(
             sample.index_of.buckets() <= bound,
             "{} buckets for a peak of {peak} live nodes (bound {bound})",
             sample.index_of.buckets()
         );
+        let filter_bound = (peak * FILTER_SLACK).next_power_of_two();
         assert!(
-            history.iter().all(|&b| b == buckets_at_peak),
+            sample.node_filter.len() <= filter_bound,
+            "{} filter counters for a peak of {peak} live nodes (bound {filter_bound})",
+            sample.node_filter.len()
+        );
+        assert!(
+            history.iter().all(|&(b, _)| b == sizes_at_peak.0),
             "the index grew after the live-node peak"
         );
+        assert!(
+            history.iter().all(|&(_, f)| f == sizes_at_peak.1),
+            "the filter grew after the live-node peak"
+        );
+    }
+
+    #[test]
+    fn huge_reservation_allocates_only_the_minimum_filter() {
+        // The sampler's sizing for m = 10M: the filter must not follow the
+        // reservation, which pre-sized it to 128 Mi counters.
+        let g: CompactAdjacency<u32> = CompactAdjacency::with_capacity(20_000_002, 10_000_001);
+        assert_eq!(g.node_filter.len(), MIN_FILTER_LEN);
+        assert_eq!(g.node_bits.len(), MIN_FILTER_LEN / 64);
     }
 
     #[test]

@@ -307,6 +307,140 @@ proptest! {
     }
 }
 
+/// Nodes in the filter-growth property's universe. A grow phase of at
+/// least 1,000 random inserts touches about 1,450 of them, well past the
+/// 1,024 live nodes that push the presence filter through three doublings
+/// from its 1,024-counter start.
+const GROWTH_UNIVERSE: NodeId = 3_000;
+
+/// An edit in the filter-growth property.
+#[derive(Clone, Copy, Debug)]
+enum GrowthOp {
+    Insert {
+        edge: Edge,
+        value: u32,
+        hinted: bool,
+    },
+    /// Removes the `pick`-th edge inserted so far (modulo their count), so
+    /// that removals hit in a universe too large for random ones to.
+    Remove {
+        pick: usize,
+        hinted: bool,
+    },
+    Set(Edge, u32),
+}
+
+/// A grow phase of plain and hinted inserts, then a churn phase weighted
+/// towards plain and hinted removals, with inserts and value updates.
+fn arb_growth_ops() -> impl Strategy<Value = Vec<GrowthOp>> {
+    let edits = |len| {
+        prop::collection::vec(
+            (0u8..8, 0..GROWTH_UNIVERSE, 0..GROWTH_UNIVERSE, any::<u32>()),
+            len,
+        )
+    };
+    (edits(1_000..1_400), edits(0..1_200)).prop_map(|(grow, churn)| {
+        let op = |inserts: u8| {
+            move |(kind, a, b, value): (u8, u32, u32, u32)| {
+                Some(match kind {
+                    k if k < inserts => GrowthOp::Insert {
+                        edge: Edge::try_new(a, b)?,
+                        value,
+                        hinted: k % 2 == 0,
+                    },
+                    7 => GrowthOp::Set(Edge::try_new(a, b)?, value),
+                    k => GrowthOp::Remove {
+                        pick: value as usize,
+                        hinted: k % 2 == 0,
+                    },
+                })
+            }
+        };
+        let grow = grow.into_iter().filter_map(op(8));
+        grow.chain(churn.into_iter().filter_map(op(3))).collect()
+    })
+}
+
+proptest! {
+    #[test]
+    fn filter_growth_under_churn_matches_oracle(ops in arb_growth_ops()) {
+        // Every lookup is gated by the presence filter, which starts at its
+        // minimum and is rebuilt from the slot table at each doubling: a
+        // node dropped or miscounted by a rebuild would read as absent.
+        let mut compact: CompactAdjacency<u32> = CompactAdjacency::new();
+        let mut oracle: AdjacencyMap<u32> = AdjacencyMap::new();
+        let mut hints: HashMap<Edge, EdgeHints> = HashMap::new();
+        let mut inserted: Vec<Edge> = Vec::new();
+        let mut peak = 0;
+        for &op in &ops {
+            let edge = match op {
+                GrowthOp::Insert { edge, value, hinted } => {
+                    let prev = if hinted {
+                        let (prev, h) = compact.insert_with_hints(edge, value);
+                        hints.insert(edge, h);
+                        prev
+                    } else {
+                        compact.insert(edge, value)
+                    };
+                    prop_assert_eq!(prev, oracle.insert(edge, value), "insert {}", edge);
+                    inserted.push(edge);
+                    edge
+                }
+                GrowthOp::Remove { pick, hinted } => {
+                    let Some(&edge) = inserted.get(pick % inserted.len().max(1)) else {
+                        continue;
+                    };
+                    let removed = if hinted {
+                        let h = hints.get(&edge).copied().unwrap_or_default();
+                        compact.remove_hinted(edge, h)
+                    } else {
+                        compact.remove(edge)
+                    };
+                    prop_assert_eq!(removed, oracle.remove(edge), "remove {}", edge);
+                    edge
+                }
+                GrowthOp::Set(edge, value) => {
+                    prop_assert_eq!(compact.set(edge, value), oracle.set(edge, value), "set {}", edge);
+                    edge
+                }
+            };
+            prop_assert_eq!(compact.num_nodes(), oracle.num_nodes());
+            prop_assert_eq!(compact.get(edge), oracle.get(edge), "get {}", edge);
+            peak = peak.max(oracle.num_nodes());
+        }
+        prop_assert!(peak > 1_024, "only {} live nodes: the filter never doubled three times", peak);
+
+        prop_assert_eq!(compact.num_edges(), oracle.num_edges());
+        prop_assert_eq!(compact.node_set(), oracle.node_set());
+        let mut ce: Vec<(Edge, u32)> = compact.edges().collect();
+        let mut oe: Vec<(Edge, u32)> = oracle.edges().collect();
+        ce.sort_unstable();
+        oe.sort_unstable();
+        prop_assert_eq!(ce, oe, "edge sets diverged");
+        // Only the nodes and edges the sequence touched: a sweep of the
+        // whole universe, or of all its pairs, would dominate the run time.
+        let mut touched: Vec<NodeId> = inserted.iter().flat_map(|e| [e.u(), e.v()]).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        for &node in &touched {
+            prop_assert_eq!(compact.degree(node), oracle.degree(node), "degree({})", node);
+            let mut cn: Vec<(NodeId, u32)> = compact.neighbors(node).collect();
+            let mut on: Vec<(NodeId, u32)> = oracle.neighbors(node).collect();
+            cn.sort_unstable();
+            on.sort_unstable();
+            prop_assert_eq!(cn, on, "neighbors({})", node);
+        }
+        for &edge in &inserted {
+            prop_assert_eq!(compact.contains(edge), oracle.contains(edge), "contains {}", edge);
+            prop_assert_eq!(
+                compact.triad_counts(edge.u(), edge.v()),
+                oracle.triad_counts(edge.u(), edge.v()),
+                "triad_counts of {}", edge
+            );
+        }
+    }
+}
+
 /// The neighbor-order rule on plain `Vec`s: a list keeps arrival order,
 /// with `swap_remove` eviction, until it grows past [`SORT_AFTER`] entries
 /// since it last held at most [`INLINE_NEIGHBORS`]; from then on it is kept

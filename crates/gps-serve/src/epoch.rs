@@ -284,8 +284,11 @@ mod tests {
                 let mut last = 0u64;
                 let mut seen = 0u64;
                 // ordering: Relaxed — stop flag only ends the loop; no
-                // data is published through it.
-                while stop.load(Ordering::Relaxed) == 0 {
+                // data is published through it. Each reader keeps going
+                // until it has seen one epoch: on a busy core the writer
+                // can publish its last epoch before a reader is first
+                // scheduled, and that epoch stays loadable.
+                while seen == 0 || stop.load(Ordering::Relaxed) == 0 {
                     if let Some(e) = cell.load() {
                         assert_eq!(e.edges_seen, 10 * e.version, "torn epoch");
                         assert_eq!(e.estimates.triangles.value, e.version as f64);

@@ -689,7 +689,11 @@ mod tests {
                     let mut last = 0u64;
                     // ordering: Relaxed — stop flag only ends the loop;
                     // epochs synchronize through the board, not this flag.
-                    while !stop.load(Ordering::Relaxed) {
+                    // Each reader keeps going until it has read one epoch:
+                    // on a busy core ingest and `finish` can complete before
+                    // a reader is first scheduled, and `finish` always
+                    // publishes a final epoch, so the loop still ends.
+                    while reads == 0 || !stop.load(Ordering::Relaxed) {
                         if let Some(e) = handle.latest() {
                             assert!(e.version >= last);
                             last = e.version;

@@ -67,8 +67,10 @@ fn snapshots_never_observe_torn_histograms() {
                 let mut last_count = 0u64;
                 let mut iters = 0u64;
                 // ordering: Relaxed — plain stop flag; no data is
-                // transferred through it.
-                while !done.load(Ordering::Relaxed) {
+                // transferred through it. Each reader runs at least once:
+                // on a busy core the writers can finish before a reader is
+                // first scheduled.
+                while iters == 0 || !done.load(Ordering::Relaxed) {
                     let snap = reg.snapshot();
                     check_histogram_invariants(&snap);
                     let count = snap.histogram_sample("gps_stress_values").unwrap().count;
@@ -170,8 +172,10 @@ fn flight_recorder_under_concurrent_record_and_query() {
             thread::spawn(move || {
                 let mut iters = 0u64;
                 // ordering: Relaxed — plain stop flag; no data is
-                // transferred through it.
-                while !done.load(Ordering::Relaxed) {
+                // transferred through it. Each reader runs at least once:
+                // on a busy core the writers can finish before a reader is
+                // first scheduled.
+                while iters == 0 || !done.load(Ordering::Relaxed) {
                     let (traces, _lost) = rec.snapshot();
                     assert!(traces.len() <= cap, "ring never exceeds capacity");
                     for t in &traces {
