@@ -765,8 +765,6 @@ pub(crate) enum Rule {
     NonNegative,
     /// A number of at least 1 (sizes, and counters that must have moved).
     AtLeastOne,
-    /// A 0/1 flag that must read 1.
-    One,
     /// A `{:016x}` digest: 16 hex digits.
     Digest,
     /// A measurement object whose `elapsed_ns`, `ns_per_edge` and
@@ -774,7 +772,7 @@ pub(crate) enum Rule {
     Timing,
 }
 
-use Rule::{AtLeastOne, Digest, NonNegative, One, Positive, Schema, Text, Timing};
+use Rule::{AtLeastOne, Digest, NonNegative, Positive, Schema, Text, Timing};
 
 /// One field of a section: its JSON key, the [`Rule`] the validator
 /// applies, and the getter the emitter reads it with from row `i` of a
@@ -889,8 +887,7 @@ pub static SECTIONS: [Section; 6] = [
         run: |cfg, r| r.chaos = run_chaos(cfg, print_chaos),
     },
     // Virtual-time quality numbers: the checks are about ledger shape, not
-    // wall-clock positivity. The merge-tree identity is the simulator's
-    // core claim, so a `tree_identical` of 0 fails the document.
+    // wall-clock positivity.
     Section {
         flag: Some("--sim"),
         key: Some("sim"),
@@ -902,7 +899,6 @@ pub static SECTIONS: [Section; 6] = [
         row: &[
             ("name",              Text,        |r, i| text(&r.sim[i].name())),
             ("shards",            AtLeastOne,  |r, i| num(r.sim[i].shards as f64)),
-            ("aggregators",       AtLeastOne,  |r, i| num(r.sim[i].aggregators as f64)),
             ("skew",              Text,        |r, i| text(r.sim[i].skew)),
             ("scenario",          Text,        |r, i| text(r.sim[i].scenario)),
             ("seed",              NonNegative, |r, i| num(r.sim[i].seed as f64)),
@@ -919,7 +915,6 @@ pub static SECTIONS: [Section; 6] = [
             ("staleness_mean_ns", NonNegative, |r, i| num(r.sim[i].staleness_mean_ns as f64)),
             ("arrivals_lost",     NonNegative, |r, i| num(r.sim[i].lost_arrivals as f64)),
             ("restarts",          NonNegative, |r, i| num(r.sim[i].restarts as f64)),
-            ("tree_identical",    One,         |r, i| flag(r.sim[i].tree_identical)),
             ("finished_at_ns",    NonNegative, |r, i| num(r.sim[i].finished_at_ns as f64)),
         ],
         must_include: None,
@@ -1052,7 +1047,6 @@ fn check(what: &str, key: &str, rule: Rule, value: Option<&Value>, problems: &mu
         Positive if !x.is_some_and(|x| x > 0.0) => "is not positive",
         NonNegative if !x.is_some_and(|x| x >= 0.0) => "is negative",
         AtLeastOne if !x.is_some_and(|x| x >= 1.0) => "is less than 1",
-        One if x != Some(1.0) => "is not 1",
         Digest if !v.as_str().is_some_and(is_digest) => "is not a 64-bit hex digest",
         Timing => {
             for field in ["elapsed_ns", "ns_per_edge", "edges_per_sec"] {
@@ -1097,7 +1091,7 @@ fn print_chaos(r: &ChaosResult) {
 
 fn print_sim(p: &gps_sim::SweepPoint) {
     println!(
-        "{:<34} {:>9} edges  tri ARE {:>6.3} (cov {})  wedge ARE {:>6.3} (cov {})  [{}/{} degraded epochs, stale max {:.2} ms, lost {}, tree {}]",
+        "{:<34} {:>9} edges  tri ARE {:>6.3} (cov {})  wedge ARE {:>6.3} (cov {})  [{}/{} degraded epochs, stale max {:.2} ms, lost {}]",
         p.name(),
         p.pushed,
         p.tri_are,
@@ -1108,7 +1102,6 @@ fn print_sim(p: &gps_sim::SweepPoint) {
         p.epochs,
         p.staleness_max_ns as f64 / 1e6,
         p.lost_arrivals,
-        if p.tree_identical { "ok" } else { "DIVERGED" },
     );
 }
 
@@ -1205,7 +1198,6 @@ mod tests {
             .to_vec();
         let sim = vec![gps_sim::SweepPoint {
             shards: 16,
-            aggregators: 2,
             skew: "hash",
             scenario: "clean",
             seed: 7,
@@ -1222,7 +1214,6 @@ mod tests {
             staleness_mean_ns: 800_000,
             lost_arrivals: 0,
             restarts: 0,
-            tree_identical: true,
             finished_at_ns: 9_000_000,
         }];
         let telemetry = TelemetryResult {
@@ -1312,7 +1303,7 @@ mod tests {
         match rule {
             Schema => text("gps-bench/other/v0"),
             Text => num(1.0),
-            Positive | AtLeastOne | One => num(0.0),
+            Positive | AtLeastOne => num(0.0),
             NonNegative => num(-1.0),
             Digest => text("nope"),
             Timing => json::parse(r#"{"elapsed_ns": 0, "ns_per_edge": 1, "edges_per_sec": 1}"#)
@@ -1422,7 +1413,6 @@ mod tests {
             .expect("sim section present");
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].get_str("name"), Some("sim/s16/hash/clean"));
-        assert_eq!(points[0].get_f64("tree_identical"), Some(1.0));
         assert_eq!(points[0].get_f64("wedge_covered"), Some(1.0));
         let tele = parsed.get("telemetry").expect("telemetry section present");
         assert_eq!(tele.get_str("stable_fingerprint"), Some("00c0ffee00c0ffee"));
@@ -1595,7 +1585,6 @@ mod tests {
         assert_eq!(points.len(), 12);
         assert_eq!(seen, 12);
         for p in &points {
-            assert!(p.tree_identical, "{}: merge tree diverged", p.name());
             assert!(p.epochs > 0, "{}: no publishes", p.name());
             match p.scenario {
                 "crash_restore" => assert!(p.lost_arrivals > 0 && p.restarts == 1),
@@ -1704,8 +1693,7 @@ mod tests {
         let doc = json::parse(
             r#"{"schema": "gps-bench/bench-baseline/v1", "git_rev": "x", "mode": "full",
                 "scenarios": [],
-                "sim": {"points": [{"shards": 16, "skew": "hash",
-                                    "tree_identical": 0, "tri_are": -0.5}]}}"#,
+                "sim": {"points": [{"shards": 16, "skew": "hash", "tri_are": -0.5}]}}"#,
         )
         .unwrap();
         let problems = validate_baseline(&doc);
@@ -1715,9 +1703,6 @@ mod tests {
         assert!(problems
             .iter()
             .any(|p| p.contains("sim point 0 missing 'name'")));
-        assert!(problems
-            .iter()
-            .any(|p| p.contains("sim point 0 tree_identical is not 1")));
         assert!(problems
             .iter()
             .any(|p| p.contains("sim point 0 tri_are is negative")));

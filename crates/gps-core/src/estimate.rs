@@ -246,47 +246,6 @@ impl TriadEstimates {
         )
     }
 
-    /// Two-level merge of per-color estimates routed through `K`
-    /// aggregator groups (the S ≫ cores deployment shape: each aggregator
-    /// collects a contiguous range of leaf shards and forwards them to the
-    /// root). `groups` holds each aggregator's leaves **in leaf order**,
-    /// groups themselves ordered by their first leaf; the result is the
-    /// flat [`merged_colored`] over the ordered concatenation —
-    /// **bit-identical** to a single-level merge of the same leaves.
-    ///
-    /// The design constraint this encodes: f64 addition is not
-    /// associative, so aggregators must *not* pre-merge their subtree into
-    /// one `TriadEstimates` (the strata sums and the between-shard
-    /// `variance_of_mean` would be re-associated, and the partial-color
-    /// rescale factors would be wrong before the root knows `S`).
-    /// Aggregators are a communication topology — they batch and forward
-    /// per-leaf estimates — and only the root does arithmetic, in leaf
-    /// order. The `gps-sim` scale-out testbed pins this identity at
-    /// S ∈ {16, 64, 256}.
-    ///
-    /// [`merged_colored`]: TriadEstimates::merged_colored
-    pub fn merged_colored_tree(groups: &[&[TriadEstimates]]) -> TriadEstimates {
-        let leaves: Vec<TriadEstimates> = groups.iter().flat_map(|g| g.iter().copied()).collect();
-        Self::merged_colored(&leaves)
-    }
-
-    /// [`merged_colored_tree`] when only some leaves reported (degraded
-    /// epochs in a tree deployment): the ordered concatenation of the
-    /// reporting leaves is handed to [`merged_colored_partial`] with the
-    /// full coloring size `total`. With every leaf reporting this is
-    /// bit-identical to [`merged_colored_tree`], which is in turn
-    /// bit-identical to the flat merge.
-    ///
-    /// [`merged_colored_tree`]: TriadEstimates::merged_colored_tree
-    /// [`merged_colored_partial`]: TriadEstimates::merged_colored_partial
-    pub fn merged_colored_tree_partial(
-        groups: &[&[TriadEstimates]],
-        total: usize,
-    ) -> TriadEstimates {
-        let leaves: Vec<TriadEstimates> = groups.iter().flat_map(|g| g.iter().copied()).collect();
-        Self::merged_colored_partial(&leaves, total)
-    }
-
     /// Widens the confidence intervals to account for a known fraction of
     /// the stream that the sampler never observed (arrivals lost between a
     /// shard's last checkpoint and its crash).
@@ -713,68 +672,6 @@ mod tests {
         assert_eq!(m.triangles.variance, 4096.0);
         // Wedges: mean of S²·ŵ ∈ {192, 320} → 256.
         assert_eq!(m.wedges.value, 256.0);
-    }
-
-    /// A bundle with distinct, order-sensitive float values per index.
-    fn synthetic_parts(n: usize) -> Vec<TriadEstimates> {
-        (0..n)
-            .map(|i| {
-                let x = 1.0 + (i as f64) * 0.377;
-                TriadEstimates::from_parts(
-                    Estimate {
-                        value: x,
-                        variance: 0.1 + x / 7.0,
-                    },
-                    Estimate {
-                        value: 6.0 * x,
-                        variance: 0.2 + x / 3.0,
-                    },
-                    x / 11.0,
-                )
-            })
-            .collect()
-    }
-
-    fn assert_bits_eq(a: &TriadEstimates, b: &TriadEstimates) {
-        assert_eq!(a.triangles.value.to_bits(), b.triangles.value.to_bits());
-        assert_eq!(
-            a.triangles.variance.to_bits(),
-            b.triangles.variance.to_bits()
-        );
-        assert_eq!(a.wedges.value.to_bits(), b.wedges.value.to_bits());
-        assert_eq!(a.wedges.variance.to_bits(), b.wedges.variance.to_bits());
-        assert_eq!(a.tri_wedge_cov.to_bits(), b.tri_wedge_cov.to_bits());
-    }
-
-    #[test]
-    fn tree_merge_is_bit_identical_to_flat_for_any_grouping() {
-        let parts = synthetic_parts(16);
-        let flat = TriadEstimates::merged_colored(&parts);
-        // Uneven aggregator fan-ins, leaves kept in leaf order.
-        for splits in [vec![8, 8], vec![4, 4, 4, 4], vec![1, 15], vec![5, 6, 5]] {
-            let mut groups: Vec<&[TriadEstimates]> = Vec::new();
-            let mut at = 0;
-            for len in splits {
-                groups.push(&parts[at..at + len]);
-                at += len;
-            }
-            let tree = TriadEstimates::merged_colored_tree(&groups);
-            assert_bits_eq(&tree, &flat);
-        }
-    }
-
-    #[test]
-    fn tree_merge_partial_full_set_matches_flat_and_extrapolates_otherwise() {
-        let parts = synthetic_parts(8);
-        let groups: Vec<&[TriadEstimates]> = vec![&parts[..3], &parts[3..]];
-        let full = TriadEstimates::merged_colored_tree_partial(&groups, 8);
-        assert_bits_eq(&full, &TriadEstimates::merged_colored(&parts));
-        // Only the first aggregator's leaves reported out of S = 8.
-        let partial = TriadEstimates::merged_colored_tree_partial(&[&parts[..3]], 8);
-        assert_bits_eq(
-            &partial,
-            &TriadEstimates::merged_colored_partial(&parts[..3], 8),
-        );
     }
 
     #[test]

@@ -86,14 +86,15 @@ pub struct EngineConfig {
     /// writing stragglers off from their checkpoints; `None` (the default)
     /// waits indefinitely.
     pub finish_timeout: Option<Duration>,
-    /// Restart budget per shard; a shard that panics more often than this
-    /// becomes a terminal [`EngineError::ShardPanicked`].
-    pub max_restarts: u32,
 }
 
 /// Default [`EngineConfig::epoch_every`]: one shard report per 2048
 /// per-shard arrivals.
 pub const DEFAULT_EPOCH_EVERY: u64 = 2048;
+
+/// Restart budget per shard: a shard that panics more often than this
+/// becomes a terminal [`EngineError::ShardPanicked`].
+const MAX_RESTARTS: u32 = 3;
 
 /// Sleep between two queue-full retries of a pending batch.
 const SHIP_BACKOFF: Duration = Duration::from_micros(50);
@@ -113,7 +114,6 @@ impl EngineConfig {
             checkpoint_every: 0,
             push_timeout: None,
             finish_timeout: None,
-            max_restarts: 3,
         }
     }
 }
@@ -704,7 +704,7 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
     /// reservoirs start empty or from a [`SavedEngine`]. A resumed engine
     /// takes its samplers, in-stream states and stream position from the
     /// snapshot and everything else — batch and queue sizes, epoch
-    /// cadence, checkpointing, timeouts, restart budget — from `cfg`.
+    /// cadence, checkpointing, timeouts — from `cfg`.
     ///
     /// # Panics
     /// Panics if `cfg.shards == 0`, `cfg.capacity < cfg.shards`, or
@@ -1060,7 +1060,7 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
             let _ = handle.join();
         }
         let supervised = self.cfg.checkpoint_every > 0;
-        if !supervised || self.workers[shard].restarts >= self.cfg.max_restarts {
+        if !supervised || self.workers[shard].restarts >= MAX_RESTARTS {
             // Dropping the receiver here makes later sends Disconnected.
             drop(rx);
             drop(rest);
@@ -1345,22 +1345,6 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
             .iter()
             .map(|t| t.as_ref().map(InStreamTotals::estimates))
             .collect()
-    }
-
-    /// Merged point estimates only — `(triangles, wedges)`, rescaled like
-    /// [`ShardedGps::estimate`] but skipping variance bookkeeping (and
-    /// hence also the degraded-run variance widening — check
-    /// [`ShardedGps::health`] before trusting the points on a faulted run).
-    pub fn estimate_counts(&mut self) -> (f64, f64) {
-        self.finish();
-        let (mut tri, mut wedge) = (0.0, 0.0);
-        for sampler in &self.samplers {
-            let (t, w) = post_stream::estimate_counts(sampler);
-            tri += t;
-            wedge += w;
-        }
-        let s = self.cfg.shards as f64;
-        (tri * s * s, wedge * s)
     }
 
     /// The per-shard samplers (available once finished).

@@ -281,9 +281,9 @@ impl Board {
         });
         let live = self.live_shards(&state, now);
         if live.len() == state.per_shard.len() {
-            self.publish_full(&mut state, now, TraceCause::Full, trigger);
+            self.publish(&mut state, &live, now, TraceCause::Full, trigger);
         } else if state.gate_deadline.is_some_and(|d| now >= d) && !live.is_empty() {
-            self.publish_partial(&mut state, &live, now, trigger);
+            self.publish(&mut state, &live, now, TraceCause::GateExpired, trigger);
         } else {
             // Still inside the gate window with shards missing — keep
             // withholding until they report or the deadline passes. The
@@ -320,70 +320,42 @@ impl Board {
             .collect()
     }
 
-    /// Merges every per-shard snapshot and publishes a full epoch (caller
-    /// holds the lock). Shards that never reported merge as zero estimates
-    /// at position 0 — exactly their state — so this is also the forced
-    /// final publication of [`Board::close`].
-    fn publish_full(
+    /// Merges the `shards`' snapshots and publishes the epoch (caller
+    /// holds the lock; `shards` is non-empty and ascending).
+    ///
+    /// Every shard contributes to a full or forced-close publication; a
+    /// shard that never reported merges as a zero estimate at position 0,
+    /// which is exactly its state. A degraded publication passes only the
+    /// live shards: [`TriadEstimates::merged_colored_partial`] extrapolates
+    /// from the reporting colors — unbiased, with honestly widened
+    /// variances — and the watermark covers the reporting substreams only,
+    /// so it can sit below a prior full epoch's until the silent shard
+    /// returns. With every shard contributing that merge is
+    /// `merged_colored` bit for bit.
+    fn publish(
         &self,
         state: &mut BoardState,
+        shards: &[usize],
         now: u64,
         cause: TraceCause,
         trigger: Option<Trigger>,
     ) {
-        let parts: Vec<TriadEstimates> = state
-            .per_shard
+        let parts: Vec<TriadEstimates> = shards
             .iter()
-            .map(|r| r.map(|r| r.estimates).unwrap_or_else(zero_triad))
+            .map(|&i| state.per_shard[i].map_or_else(zero_triad, |r| r.estimates))
             .collect();
-        let edges_seen: u64 = state
-            .per_shard
+        let edges_seen: u64 = shards
             .iter()
-            .map(|r| r.map(|r| r.arrivals).unwrap_or(0))
+            .filter_map(|&i| state.per_shard[i])
+            .map(|r| r.arrivals)
             .sum();
-        let contributing = full_mask(parts.len());
-        let t_merge_start = self.clock.now_ns();
-        let estimates = TriadEstimates::merged_colored(&parts);
-        let t_merge_end = self.clock.now_ns();
-        let ctx = PublishCtx {
-            now,
-            cause,
-            trigger,
-            t_merge_start,
-            t_merge_end,
-        };
-        self.publish_epoch(state, edges_seen, contributing, estimates, ctx);
-    }
-
-    /// Merges only the `live` shards' snapshots and publishes a degraded
-    /// epoch (caller holds the lock; `live` must be non-empty). Estimates
-    /// extrapolate from the reporting colors via
-    /// [`TriadEstimates::merged_colored_partial`] — unbiased, with honestly
-    /// widened variances — and the watermark covers the reporting
-    /// substreams only, so it can sit below a prior full epoch's until the
-    /// silent shard returns.
-    fn publish_partial(
-        &self,
-        state: &mut BoardState,
-        live: &[usize],
-        now: u64,
-        trigger: Option<Trigger>,
-    ) {
-        let parts: Vec<TriadEstimates> = live
-            .iter()
-            .filter_map(|&i| state.per_shard[i].map(|r| r.estimates))
-            .collect();
-        let edges_seen: u64 = live
-            .iter()
-            .filter_map(|&i| state.per_shard[i].map(|r| r.arrivals))
-            .sum();
-        let contributing = live.iter().fold(0u64, |mask, &i| mask | shard_bit(i));
+        let contributing = shards.iter().fold(0u64, |mask, &i| mask | shard_bit(i));
         let t_merge_start = self.clock.now_ns();
         let estimates = TriadEstimates::merged_colored_partial(&parts, state.per_shard.len());
         let t_merge_end = self.clock.now_ns();
         let ctx = PublishCtx {
             now,
-            cause: TraceCause::GateExpired,
+            cause,
             trigger,
             t_merge_start,
             t_merge_end,
@@ -589,7 +561,8 @@ impl Board {
         }
         if state.latest.is_none() {
             let now = self.clock.now_ns();
-            self.publish_full(&mut state, now, TraceCause::ForcedClose, None);
+            let all: Vec<usize> = (0..state.per_shard.len()).collect();
+            self.publish(&mut state, &all, now, TraceCause::ForcedClose, None);
         }
         state.closed = true;
         state.subscribers.clear();
@@ -645,32 +618,28 @@ impl Board {
     /// returns it, or `None` if the board closes first without reaching
     /// the watermark.
     pub(crate) fn wait_for_edges(&self, n: u64) -> Option<EstimateEpoch> {
-        let mut state = self.locked();
-        loop {
-            if let Some(epoch) = state.latest {
-                if epoch.edges_seen >= n {
-                    self.observe(&epoch);
-                    return Some(epoch);
-                }
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.wake.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
+        self.wait_until(n, None)
     }
 
     /// [`Board::wait_for_edges`] with a deadline: blocks until an epoch
     /// with `edges_seen >= n` is published and returns it, or `None` once
     /// `timeout` has elapsed or the board closes first — whichever comes
-    /// sooner. Tolerates both lock poisoning and spurious wakeups (the
-    /// deadline is re-derived on every pass, never decremented in place).
+    /// sooner.
     pub(crate) fn wait_for_edges_timeout(
         &self,
         n: u64,
         timeout: Duration,
     ) -> Option<EstimateEpoch> {
         let deadline = self.clock.now_ns().saturating_add(duration_ns(timeout));
+        self.wait_until(n, Some(deadline))
+    }
+
+    /// The blocking wait behind both `wait_for_edges` forms: an epoch with
+    /// `edges_seen >= n`, or `None` on close or once the clock reaches
+    /// `deadline`. Tolerates both lock poisoning and spurious wakeups (the
+    /// remaining time is re-derived on every pass, never decremented in
+    /// place).
+    fn wait_until(&self, n: u64, deadline: Option<u64>) -> Option<EstimateEpoch> {
         let mut state = self.locked();
         loop {
             if let Some(epoch) = state.latest {
@@ -683,18 +652,19 @@ impl Board {
                 return None;
             }
             let now = self.clock.now_ns();
-            if now >= deadline {
+            if deadline.is_some_and(|d| now >= d) {
                 return None;
             }
-            state = if self.clock.is_manual() {
+            state = match deadline {
                 // Manual time cannot expire on its own: park until an
                 // epoch, a close, or an `advance_clock` wakes us.
-                self.wake.wait(state).unwrap_or_else(|e| e.into_inner())
-            } else {
-                self.wake
-                    .wait_timeout(state, Duration::from_nanos(deadline - now))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
+                Some(d) if !self.clock.is_manual() => {
+                    self.wake
+                        .wait_timeout(state, Duration::from_nanos(d - now))
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+                _ => self.wake.wait(state).unwrap_or_else(|e| e.into_inner()),
             };
         }
     }
@@ -1157,5 +1127,72 @@ mod tests {
         let t = empty.trace(1).expect("forced close-time epoch traced");
         assert_eq!(t.cause, TraceCause::ForcedClose);
         assert!(t.span("arrival_batch").is_none(), "no triggering report");
+    }
+
+    /// A board past 63 shards, where shard 63 and above share the top
+    /// mask bit. A full publication sets every bit and merges like
+    /// `merged_colored`; with shard 3 silent past a zero gate the epoch is
+    /// degraded and merges the 64 live shards like
+    /// `merged_colored_partial`.
+    #[test]
+    fn sixty_five_shards_publish_full_and_degraded_epochs() {
+        const SHARDS: usize = 65;
+        fn part(shard: usize, round: u64) -> ShardReport {
+            let x = 1.0 + shard as f64 * 0.377 + round as f64 * 0.1;
+            ShardReport {
+                shard,
+                arrivals: 100 * round + shard as u64,
+                batch_arrivals: 100,
+                estimates: TriadEstimates::from_parts(
+                    Estimate {
+                        value: x,
+                        variance: 0.1 + x / 7.0,
+                    },
+                    Estimate {
+                        value: 6.0 * x,
+                        variance: 0.2 + x / 3.0,
+                    },
+                    x / 11.0,
+                ),
+            }
+        }
+        fn bits(e: &TriadEstimates) -> [u64; 5] {
+            [
+                e.triangles.value.to_bits(),
+                e.triangles.variance.to_bits(),
+                e.wedges.value.to_bits(),
+                e.wedges.variance.to_bits(),
+                e.tri_wedge_cov.to_bits(),
+            ]
+        }
+        let board = manual_board(SHARDS, Some(Duration::ZERO));
+
+        for shard in 0..SHARDS {
+            board.publish_report(0, part(shard, 1));
+        }
+        let full = board.latest().unwrap();
+        assert_eq!(full.shards, SHARDS as u64);
+        assert_eq!(full.contributing, u64::MAX);
+        assert!(!full.degraded());
+        let parts: Vec<TriadEstimates> = (0..SHARDS).map(|s| part(s, 1).estimates).collect();
+        assert_eq!(
+            bits(&full.estimates),
+            bits(&TriadEstimates::merged_colored(&parts))
+        );
+
+        // Shard 3's report ages out of the zero-width live window.
+        board.advance_clock(Duration::from_nanos(1));
+        let live: Vec<usize> = (0..SHARDS).filter(|&s| s != 3).collect();
+        for &shard in &live {
+            board.publish_report(0, part(shard, 2));
+        }
+        let partial = board.latest().unwrap();
+        assert_eq!(partial.contributing, !(1u64 << 3));
+        assert!(partial.degraded());
+        let parts: Vec<TriadEstimates> = live.iter().map(|&s| part(s, 2).estimates).collect();
+        assert_eq!(
+            bits(&partial.estimates),
+            bits(&TriadEstimates::merged_colored_partial(&parts, SHARDS))
+        );
     }
 }

@@ -158,8 +158,8 @@ impl<W: EdgeWeight + Clone + Send + 'static> ServeEngine<W> {
     ///
     /// `engine` configures the resumed engine exactly as
     /// [`ServeConfig::engine`] configures a fresh one — publication
-    /// cadence, checkpointing, timeouts and restart budget all come from
-    /// it, since the snapshot records none of them. Its seed, capacity and
+    /// cadence, checkpointing and timeouts all come from it, since the
+    /// snapshot records none of them. Its seed, capacity and
     /// shard count must be the snapshot's.
     ///
     /// # Panics

@@ -1,26 +1,19 @@
-//! The simulated cluster: source → leaves → aggregators → root, in
-//! virtual time.
+//! The simulated cluster: source → leaves → relay → root, in virtual
+//! time.
 //!
-//! Topology is a two-level merge tree. One *source* host emits the edge
-//! stream, routing each edge with the engine's real
-//! [`EdgePartitioner`] to one of `S` *leaf*
-//! nodes ([`LeafNode`], hosting the production shard runner). Leaves emit
-//! epoch reports to `K` *aggregator* hosts (leaf `l` → aggregator
-//! `l·K/S`, contiguous ranges), which store-and-forward them to the
-//! *root*. The root keeps the freshest report per leaf and periodically
-//! publishes a merged estimate over whoever has reported.
+//! One *source* host emits the edge stream, routing each edge with the
+//! engine's real [`EdgePartitioner`] to one of `S` *leaf* nodes
+//! ([`LeafNode`], hosting the production shard runner). Each leaf epoch
+//! report crosses two links on its way to the *root*: leaf → relay
+//! ([`SimConfig::leaf_link`]) and relay → root ([`SimConfig::agg_link`]).
+//! The relay only forwards; the two hops are the latency model. The root
+//! keeps the freshest report per leaf and periodically publishes over
+//! whoever has reported, recording staleness, degraded publishes and a
+//! provenance trace for each publish.
 //!
-//! ## Why aggregators forward instead of pre-merging
-//!
-//! f64 addition is not associative, so a tree that *summed* at the
-//! aggregators would publish different bits than the flat
-//! [`TriadEstimates::merged_colored`] merge — and "different bits" is
-//! exactly what the determinism suites exist to forbid. Aggregators
-//! therefore only batch and forward; all arithmetic happens once, at the
-//! root, over per-leaf estimates in leaf order
-//! ([`TriadEstimates::merged_colored_tree`]). Bit-identity of tree and
-//! flat merges is then true by construction and pinned by tests at
-//! `S ∈ {16, 64, 256}`.
+//! Shards only sample and report. The colored merge
+//! ([`TriadEstimates::merged_colored`]) runs once, over the leaves' final
+//! estimates in leaf order, into [`SimOutcome::flat`].
 //!
 //! ## Determinism
 //!
@@ -50,8 +43,6 @@ pub struct SimConfig {
     /// Number of leaf shard-nodes `S` (the scale-out axis; may far exceed
     /// physical cores — nodes are events, not threads).
     pub shards: usize,
-    /// Number of aggregator hosts `K` (leaf `l` reports to `l·K/S`).
-    pub aggregators: usize,
     /// Total reservoir budget `m`, split across leaves exactly like the
     /// engine splits it (`m/S`, first `m mod S` leaves get one more).
     pub capacity: usize,
@@ -65,9 +56,9 @@ pub struct SimConfig {
     pub checkpoint_every: u64,
     /// Virtual time between consecutive source emissions.
     pub source_gap_ns: u64,
-    /// Source→leaf and leaf→aggregator link model.
+    /// Source→leaf and leaf→relay link model.
     pub leaf_link: Link,
-    /// Aggregator→root link model.
+    /// Relay→root link model: the second hop of every report.
     pub agg_link: Link,
     /// Root publish cadence in virtual time.
     pub publish_every_ns: u64,
@@ -75,12 +66,11 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// A config with sane timing defaults: 1 µs source gap, 50 µs ± 20 µs
-    /// leaf links, 100 µs ± 40 µs aggregator links, 1 ms publishes,
+    /// leaf links, 100 µs ± 40 µs relay links, 1 ms publishes,
     /// epoch every 256 arrivals, checkpoint every 128.
-    pub fn new(shards: usize, aggregators: usize, capacity: usize, seed: u64) -> Self {
+    pub fn new(shards: usize, capacity: usize, seed: u64) -> Self {
         SimConfig {
             shards,
-            aggregators,
             capacity,
             seed,
             epoch_every: 256,
@@ -96,11 +86,6 @@ impl SimConfig {
             },
             publish_every_ns: 1_000_000,
         }
-    }
-
-    /// Aggregator owning leaf `l` (contiguous balanced ranges).
-    pub fn aggregator_of(&self, leaf: usize) -> usize {
-        leaf * self.aggregators / self.shards
     }
 }
 
@@ -173,8 +158,6 @@ pub struct SimOutcome {
     /// Flat `merged_colored` over [`Self::leaves`] (loss-widened when any
     /// arrivals were lost, exactly like the engine's degraded estimates).
     pub flat: TriadEstimates,
-    /// Two-level tree merge over the same leaves (same widening).
-    pub tree: TriadEstimates,
     /// Edges the source pushed.
     pub pushed: u64,
     /// Arrivals lost to crashes (post-checkpoint windows).
@@ -206,18 +189,12 @@ impl SimOutcome {
         self.epochs.iter().filter(|e| e.degraded).count()
     }
 
-    /// True when the tree merge reproduced the flat merge bit-for-bit.
-    pub fn tree_matches_flat(&self) -> bool {
-        bits(&self.tree) == bits(&self.flat)
-    }
-
-    /// A bit-exact digest of the run: every f64 of the flat and tree
-    /// merges (as raw bits), plus the integer trajectory (pushed, losses,
-    /// restarts, epoch count, finish time). Two runs with equal
+    /// A bit-exact digest of the run: every f64 of the flat merge and of
+    /// each leaf (as raw bits), plus the integer trajectory (pushed,
+    /// losses, restarts, epoch count, finish time). Two runs with equal
     /// fingerprints produced identical estimates.
     pub fn fingerprint(&self) -> Vec<u64> {
         let mut fp = bits(&self.flat);
-        fp.extend(bits(&self.tree));
         for leaf in &self.leaves {
             fp.extend(bits(leaf));
         }
@@ -251,7 +228,6 @@ fn bits(e: &TriadEstimates) -> Vec<u64> {
 /// Freshest root-side view of one leaf.
 #[derive(Clone, Copy)]
 struct Slot {
-    estimates: TriadEstimates,
     arrivals: u64,
     generated_at_ns: u64,
 }
@@ -261,12 +237,12 @@ enum Event {
     Emit(usize),
     /// A routed edge reaches its leaf.
     Deliver { shard: usize, edge: Edge },
-    /// A leaf report reaches its aggregator.
+    /// A leaf report reaches the relay.
     Report {
         report: ShardReport,
         generated_at_ns: u64,
     },
-    /// An aggregator forwards a report to the root.
+    /// The relay forwards a report to the root.
     Forward {
         report: ShardReport,
         generated_at_ns: u64,
@@ -289,10 +265,6 @@ where
     W: EdgeWeight + Clone + Send + 'static,
 {
     assert!(cfg.shards > 0, "need at least one leaf");
-    assert!(
-        cfg.aggregators > 0 && cfg.aggregators <= cfg.shards,
-        "need 1 ≤ K ≤ S aggregators"
-    );
 
     let partitioner = EdgePartitioner::new(cfg.seed, cfg.shards);
     let mut leaves: Vec<LeafNode<W>> = (0..cfg.shards)
@@ -374,7 +346,7 @@ where
                 if let Some(site) = site {
                     site.fired = true;
                     let after = site.restore_after_ns;
-                    leaf.crash_consuming(edge);
+                    leaf.crash_consuming();
                     sched.schedule(after, Event::Restore { shard });
                     work_events += 1;
                 } else if let Some(report) = leaf.deliver(edge) {
@@ -398,8 +370,7 @@ where
                 generated_at_ns,
             } => {
                 work_events -= 1;
-                // Aggregators batch and forward — no arithmetic (see the
-                // module docs for why pre-merging would break bit-identity).
+                // The relay hop: forward after a second link delay.
                 let delay = cfg.agg_link.delay(&mut net_rng);
                 sched.schedule(
                     delay,
@@ -419,7 +390,6 @@ where
                 // Jittered links reorder reports; keep only the freshest.
                 if slot.is_none_or(|s| s.arrivals < report.arrivals) {
                     *slot = Some(Slot {
-                        estimates: report.estimates,
                         arrivals: report.arrivals,
                         generated_at_ns,
                     });
@@ -433,15 +403,7 @@ where
                     .filter_map(|(l, s)| s.map(|s| (l, s)))
                     .collect();
                 if !reporting.is_empty() {
-                    let groups = group_by_aggregator(cfg, &reporting);
-                    let group_refs: Vec<&[TriadEstimates]> =
-                        groups.iter().map(Vec::as_slice).collect();
                     let degraded = reporting.len() < cfg.shards;
-                    let _merged = if degraded {
-                        TriadEstimates::merged_colored_tree_partial(&group_refs, cfg.shards)
-                    } else {
-                        TriadEstimates::merged_colored_tree(&group_refs)
-                    };
                     let ages: Vec<u64> = reporting
                         .iter()
                         .map(|(_, s)| now - s.generated_at_ns)
@@ -558,30 +520,12 @@ where
         })
         .collect();
     let flat = TriadEstimates::merged_colored(&finals);
-    let all: Vec<(usize, Slot)> = finals
-        .iter()
-        .enumerate()
-        .map(|(l, e)| {
-            (
-                l,
-                Slot {
-                    estimates: *e,
-                    arrivals: 0,
-                    generated_at_ns: 0,
-                },
-            )
-        })
-        .collect();
-    let groups = group_by_aggregator(cfg, &all);
-    let group_refs: Vec<&[TriadEstimates]> = groups.iter().map(Vec::as_slice).collect();
-    let tree = TriadEstimates::merged_colored_tree(&group_refs);
     // Widen like the engine's degraded estimates do; skip when clean so
     // clean runs stay bit-identical to an unwidened merge.
-    let (flat, tree) = if lost_arrivals > 0 {
-        let f = lost_arrivals as f64 / (pushed.max(1)) as f64;
-        (flat.widened_for_loss(f), tree.widened_for_loss(f))
+    let flat = if lost_arrivals > 0 {
+        flat.widened_for_loss(lost_arrivals as f64 / (pushed.max(1)) as f64)
     } else {
-        (flat, tree)
+        flat
     };
 
     // End-of-run totals (monotone over the run, so recording them once at
@@ -599,7 +543,6 @@ where
     SimOutcome {
         leaves: finals,
         flat,
-        tree,
         pushed,
         lost_arrivals,
         restarts,
@@ -608,14 +551,4 @@ where
         telemetry: registry.snapshot(),
         traces,
     }
-}
-
-/// Per-aggregator report lists in (aggregator, leaf) order — the wire
-/// layout the root merges over.
-fn group_by_aggregator(cfg: &SimConfig, reporting: &[(usize, Slot)]) -> Vec<Vec<TriadEstimates>> {
-    let mut groups: Vec<Vec<TriadEstimates>> = vec![Vec::new(); cfg.aggregators];
-    for (leaf, slot) in reporting {
-        groups[cfg.aggregator_of(*leaf)].push(slot.estimates);
-    }
-    groups
 }

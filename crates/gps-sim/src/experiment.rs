@@ -4,7 +4,7 @@
 //! stream, computes exact ground truth for that stream, and reduces the
 //! run to the numbers the quality suites (and `bench_baseline --sim`)
 //! pin: estimate error vs truth, CI coverage, epoch staleness in virtual
-//! time, loss/restart accounting, and tree-vs-flat merge identity.
+//! time, and loss/restart accounting.
 //!
 //! The grid axes follow the scale-out question the simulator exists to
 //! answer: shard count `S ∈ {16, 64, 256}` (far beyond physical cores) ×
@@ -70,8 +70,6 @@ impl Scenario {
 pub struct SweepPoint {
     /// Leaf count `S`.
     pub shards: usize,
-    /// Aggregator count `K`.
-    pub aggregators: usize,
     /// Keyspace label (`"hash"` / `"zipf"`).
     pub skew: &'static str,
     /// Scenario label (`"clean"` / `"straggler"` / `"crash_restore"`).
@@ -104,8 +102,6 @@ pub struct SweepPoint {
     pub lost_arrivals: u64,
     /// Completed shard restarts.
     pub restarts: u64,
-    /// Tree merge bit-identical to flat merge.
-    pub tree_identical: bool,
     /// Virtual completion time, ns.
     pub finished_at_ns: u64,
 }
@@ -150,7 +146,6 @@ pub fn faults_for(scenario: Scenario, shards: usize, n_edges: usize) -> SimFault
 /// cluster, compute exact truth, reduce.
 pub fn quality_point(
     shards: usize,
-    aggregators: usize,
     capacity: usize,
     skew: Skew,
     scenario: Scenario,
@@ -158,7 +153,7 @@ pub fn quality_point(
     seed: u64,
 ) -> SweepPoint {
     let edges = stream_for(skew, n_edges, seed);
-    let mut cfg = SimConfig::new(shards, aggregators, capacity, seed);
+    let mut cfg = SimConfig::new(shards, capacity, seed);
     // Keep the epoch/checkpoint cadence meaningful at every S: a 256-leaf
     // cluster sees ~n/S arrivals per shard.
     cfg.epoch_every = ((n_edges / shards / 4) as u64).clamp(8, 256);
@@ -197,7 +192,6 @@ fn reduce(
     };
     SweepPoint {
         shards: cfg.shards,
-        aggregators: cfg.aggregators,
         skew: skew.label(),
         scenario: scenario.label(),
         seed,
@@ -219,15 +213,13 @@ fn reduce(
         staleness_mean_ns,
         lost_arrivals: outcome.lost_arrivals,
         restarts: outcome.restarts,
-        tree_identical: outcome.tree_matches_flat(),
         finished_at_ns: outcome.finished_at_ns,
     }
 }
 
 /// Runs the sweep grid `shard_counts` × {hash, Zipf(1.0)} × {clean,
 /// straggler, crash/restore}, one run per point, invoking `progress` as
-/// each point completes. `n_edges` and `capacity` size every point;
-/// aggregators default to `S/8` (min 2).
+/// each point completes. `n_edges` and `capacity` size every point.
 pub fn sweep(
     shard_counts: &[usize],
     n_edges: usize,
@@ -237,11 +229,9 @@ pub fn sweep(
 ) -> Vec<SweepPoint> {
     let mut out = Vec::new();
     for &shards in shard_counts {
-        let aggregators = (shards / 8).max(2);
         for &skew in &[Skew::Hash, Skew::Zipf(1.0)] {
             for &scenario in &[Scenario::Clean, Scenario::Straggler, Scenario::CrashRestore] {
-                let point =
-                    quality_point(shards, aggregators, capacity, skew, scenario, n_edges, seed);
+                let point = quality_point(shards, capacity, skew, scenario, n_edges, seed);
                 progress(&point);
                 out.push(point);
             }

@@ -14,9 +14,9 @@
 //! Each [`LeafNode`] hosts a production
 //! [`ShardRunner`](gps_engine::ShardRunner) (real `GpsSampler`, real
 //! `InStreamEstimator`), checkpoints in the real `gps_core::persist`
-//! format, restores through the engine's real restart path, and the root
-//! merges with the real [`TriadEstimates`](gps_core::TriadEstimates)
-//! colorful merge. The sim is a test harness over production logic, not a
+//! format, restores through the engine's real restart path, and the run's
+//! estimate is the real [`TriadEstimates`](gps_core::TriadEstimates)
+//! colorful merge over the leaves' final estimates. The sim is a test harness over production logic, not a
 //! model of it — what it pins at `S = 256` is the code that ships.
 //!
 //! Layers:
@@ -24,9 +24,9 @@
 //! - [`net`]: per-link latency/jitter model (seeded).
 //! - [`node`]: a simulated shard host over the production runner, with
 //!   crash/queue/replay semantics mirroring the engine supervisor.
-//! - [`cluster`]: source → `S` leaves → `K` aggregators → root, the
-//!   two-level merge tree (forward-only aggregators keep the tree merge
-//!   bit-identical to the flat merge), publish cadence, staleness ledger.
+//! - [`cluster`]: source → `S` leaves → relay → root, publish cadence,
+//!   staleness ledger, and the one colored merge over the leaves' final
+//!   estimates.
 //! - [`zipf`]: Zipf-skewed keyspaces for partition-skew experiments.
 //! - [`experiment`]: the quality-vs-scale sweep
 //!   (`S ∈ {16,64,256}` × skew × fault scenario) reduced to pinned numbers.

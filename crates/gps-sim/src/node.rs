@@ -127,10 +127,10 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
         runner.maybe_report()
     }
 
-    /// Crashes the node *while consuming* `edge` — the engine's panic
-    /// semantics: the crashing arrival counts as attempted-and-lost, state
-    /// rolls back to the last checkpoint, and everything after it is lost.
-    pub fn crash_consuming(&mut self, _edge: Edge) {
+    /// Crashes the node *while consuming* its next arrival (engine panic
+    /// semantics): that arrival counts as attempted-and-lost, state rolls
+    /// back to the last checkpoint, and everything after it is lost.
+    pub fn crash_consuming(&mut self) {
         let attempted = self.arrivals() + 1;
         self.lost += attempted - self.ckpt_arrivals;
         self.runner = None;
@@ -215,7 +215,7 @@ mod tests {
         }
         assert_eq!(n.arrivals(), 40);
         // Crash consuming arrival 41: loss = 41 − 32 = 9.
-        n.crash_consuming(stream[40]);
+        n.crash_consuming();
         assert!(n.is_down());
         assert_eq!(n.lost(), 9);
         // Deliveries while down queue up.

@@ -20,7 +20,7 @@ fn seed(base: u64) -> u64 {
 }
 
 fn faulted_cfg(seed: u64) -> (SimConfig, SimFaults) {
-    let mut cfg = SimConfig::new(64, 8, 4_096, seed);
+    let mut cfg = SimConfig::new(64, 4_096, seed);
     cfg.epoch_every = 32;
     cfg.checkpoint_every = 16;
     let faults = SimFaults::none()
@@ -32,7 +32,7 @@ fn faulted_cfg(seed: u64) -> (SimConfig, SimFaults) {
 #[test]
 fn same_seed_same_bits_clean() {
     let edges = stream_for(Skew::Hash, 8_000, seed(21));
-    let cfg = SimConfig::new(16, 4, 4_096, seed(21));
+    let cfg = SimConfig::new(16, 4_096, seed(21));
     let a = run_cluster(&cfg, &SimFaults::none(), TriangleWeight::default(), &edges);
     let b = run_cluster(&cfg, &SimFaults::none(), TriangleWeight::default(), &edges);
     assert_eq!(a.fingerprint(), b.fingerprint());
@@ -54,13 +54,13 @@ fn same_seed_same_bits_under_faults() {
 fn different_seeds_different_runs() {
     let edges = stream_for(Skew::Hash, 8_000, seed(23));
     let a = run_cluster(
-        &SimConfig::new(16, 4, 4_096, seed(23)),
+        &SimConfig::new(16, 4_096, seed(23)),
         &SimFaults::none(),
         TriangleWeight::default(),
         &edges,
     );
     let b = run_cluster(
-        &SimConfig::new(16, 4, 4_096, seed(24)),
+        &SimConfig::new(16, 4_096, seed(24)),
         &SimFaults::none(),
         TriangleWeight::default(),
         &edges,

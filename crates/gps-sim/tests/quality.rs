@@ -19,13 +19,11 @@ const N_EDGES: usize = 20_000;
 const CAPACITY: usize = 8_192;
 
 fn grid_point(shards: usize, skew: Skew, scenario: Scenario, seed: u64) -> SweepPoint {
-    let aggregators = (shards / 8).max(2);
-    quality_point(shards, aggregators, CAPACITY, skew, scenario, N_EDGES, seed)
+    quality_point(shards, CAPACITY, skew, scenario, N_EDGES, seed)
 }
 
 /// Every grid point, every scenario: wedge estimates stay accurate and
-/// covered, the tree merge stays bit-identical, and fault ledgers match
-/// the scenario.
+/// covered, and fault ledgers match the scenario.
 #[test]
 fn wedges_stay_tight_across_the_full_grid() {
     for &shards in &[16usize, 64, 256] {
@@ -34,7 +32,6 @@ fn wedges_stay_tight_across_the_full_grid() {
                 for seed in [1u64, 2] {
                     let p = grid_point(shards, skew, scenario, seed);
                     let tag = format!("S={shards} {} {} seed={seed}", p.skew, p.scenario);
-                    assert!(p.tree_identical, "{tag}: tree merge != flat merge");
                     // Wedge signal thins only as 1/S: stays tight everywhere
                     // (observed ≤ 0.06 across the calibration grid).
                     assert!(
@@ -137,6 +134,5 @@ fn crash_restore_degrades_gracefully() {
             p.wedge_are
         );
         assert!(p.wedge_covered, "seed={seed}: widened CI missed truth");
-        assert!(p.tree_identical, "seed={seed}");
     }
 }
