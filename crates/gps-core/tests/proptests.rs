@@ -19,6 +19,103 @@ fn arb_edges(max_n: u32, max_m: usize) -> impl Strategy<Value = Vec<Edge>> {
     })
 }
 
+/// The array-of-structs 4-ary heap `MinHeap` was before its priorities and
+/// slots moved to separate arrays, kept verbatim as the oracle for
+/// `heap_matches_the_array_of_structs_oracle`: same comparisons, same swaps.
+#[derive(Default)]
+struct AosHeap {
+    entries: Vec<heap::HeapEntry>,
+}
+
+impl AosHeap {
+    const ARITY: usize = 4;
+
+    fn peek(&self) -> Option<heap::HeapEntry> {
+        self.entries.first().copied()
+    }
+
+    fn push(&mut self, entry: heap::HeapEntry) {
+        self.entries.push(entry);
+        self.sift_up(self.entries.len() - 1);
+    }
+
+    fn pop(&mut self) -> Option<heap::HeapEntry> {
+        let n = self.entries.len();
+        if n == 0 {
+            return None;
+        }
+        self.entries.swap(0, n - 1);
+        let min = self.entries.pop();
+        if !self.entries.is_empty() {
+            self.sift_down(0);
+        }
+        min
+    }
+
+    fn replace_min(&mut self, entry: heap::HeapEntry) -> Option<heap::HeapEntry> {
+        if self.entries.is_empty() {
+            self.push(entry);
+            return None;
+        }
+        let old = self.entries[0];
+        self.entries[0] = entry;
+        self.sift_down(0);
+        Some(old)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / Self::ARITY;
+            if self.entries[i].priority < self.entries[parent].priority {
+                self.entries.swap(i, parent);
+                i = parent;
+            } else {
+                break;
+            }
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.entries.len();
+        loop {
+            let first = Self::ARITY * i + 1;
+            if first >= n {
+                break;
+            }
+            let last = (first + Self::ARITY).min(n);
+            let mut smallest = i;
+            for child in first..last {
+                if self.entries[child].priority < self.entries[smallest].priority {
+                    smallest = child;
+                }
+            }
+            if smallest == i {
+                break;
+            }
+            self.entries.swap(i, smallest);
+            i = smallest;
+        }
+    }
+}
+
+/// Priorities the heap oracle test draws from: few enough that ties are
+/// common, with both zeros (equal, different bits) and both infinities.
+const TIE_PRIORITIES: [f64; 8] = [
+    f64::NEG_INFINITY,
+    -1.5,
+    -0.0,
+    0.0,
+    0.25,
+    1.0,
+    7.0,
+    f64::INFINITY,
+];
+
+/// An entry's exact identity: priority bits and slot.
+fn entry_bits(e: Option<heap::HeapEntry>) -> Option<(u64, u32)> {
+    e.map(|e| (e.priority.to_bits(), e.slot))
+}
+
 proptest! {
     #[test]
     fn heap_pops_sorted(priorities in prop::collection::vec(0.0f64..1e12, 0..200)) {
@@ -34,6 +131,41 @@ proptest! {
         let mut expect = priorities.clone();
         expect.sort_by(f64::total_cmp);
         prop_assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn heap_matches_the_array_of_structs_oracle(
+        ops in prop::collection::vec((0u8..8, 0usize..TIE_PRIORITIES.len()), 0..400),
+    ) {
+        // Pushes outnumber pops so the heap grows several levels deep;
+        // replace_min is the sampler's eviction path.
+        let mut h = heap::MinHeap::new();
+        let mut oracle = AosHeap::default();
+        for (step, &(kind, p)) in ops.iter().enumerate() {
+            let entry = heap::HeapEntry { priority: TIE_PRIORITIES[p], slot: step as u32 };
+            match kind {
+                0..=3 => {
+                    h.push(entry);
+                    oracle.push(entry);
+                }
+                4 | 5 => prop_assert_eq!(
+                    entry_bits(h.replace_min(entry)),
+                    entry_bits(oracle.replace_min(entry)),
+                    "replace_min at step {}", step
+                ),
+                _ => prop_assert_eq!(
+                    entry_bits(h.pop()),
+                    entry_bits(oracle.pop()),
+                    "pop at step {}", step
+                ),
+            }
+            prop_assert_eq!(h.len(), oracle.entries.len());
+            prop_assert_eq!(entry_bits(h.peek()), entry_bits(oracle.peek()), "peek after step {}", step);
+            prop_assert!(h.check_invariant());
+        }
+        let drained: Vec<_> = std::iter::from_fn(|| h.pop()).map(|e| entry_bits(Some(e))).collect();
+        let expected: Vec<_> = std::iter::from_fn(|| oracle.pop()).map(|e| entry_bits(Some(e))).collect();
+        prop_assert_eq!(drained, expected);
     }
 
     #[test]

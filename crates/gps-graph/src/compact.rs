@@ -1377,25 +1377,25 @@ mod tests {
         assert_eq!(g.neighbor_at(999, 0), None, "unknown node has no neighbors");
     }
 
-    #[test]
-    fn index_follows_the_live_node_peak_under_reservoir_churn() {
-        // A reservoir of 2,000 edges over 20x that many Holme–Kim arrivals
-        // (4 edges per node, triad probability 0.5), sized the way
-        // `GpsSampler` sizes it, evicting a random sampled edge per insert
-        // once full.
-        const CAP: usize = 2_000;
-        let mut state = 0x5EED_u64;
-        let mut next = move |bound: usize| {
-            // splitmix64
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
+    /// splitmix64, the deterministic source behind the churn scripts.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        /// A uniform draw from `0..bound`.
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             ((z ^ (z >> 31)) % bound as u64) as usize
-        };
-        // Holme–Kim growth from a 5-clique: each new node makes 4 attempts,
-        // each a triad step (a random neighbor of the last attachee) with
-        // probability 1/2, else preferential attachment.
+        }
+    }
+
+    /// A Holme–Kim stream of at least `len` distinct edges grown from a
+    /// 5-clique: each new node makes 4 attempts, each a triad step (a
+    /// random neighbor of the last attachee) with probability 1/2, else
+    /// preferential attachment.
+    fn holme_kim_stream(rng: &mut SplitMix, len: usize) -> Vec<Edge> {
         let mut graph: CompactAdjacency<()> = CompactAdjacency::new();
         let mut stubs: Vec<NodeId> = Vec::new();
         let mut stream: Vec<Edge> = Vec::new();
@@ -1407,14 +1407,14 @@ mod tests {
             }
         }
         let mut v: NodeId = 5;
-        while stream.len() < 20 * CAP {
+        while stream.len() < len {
             let mut last: Option<NodeId> = None;
             for _ in 0..4 {
                 let target = match last {
-                    Some(anchor) if next(2) == 0 => {
-                        graph.neighbor_slice(anchor)[next(graph.degree(anchor))].0
+                    Some(anchor) if rng.below(2) == 0 => {
+                        graph.neighbor_slice(anchor)[rng.below(graph.degree(anchor))].0
                     }
-                    _ => stubs[next(stubs.len())],
+                    _ => stubs[rng.below(stubs.len())],
                 };
                 if target == v {
                     continue;
@@ -1428,41 +1428,71 @@ mod tests {
             }
             v += 1;
         }
+        stream
+    }
 
+    /// The reservoir-churn script: a reservoir of `cap` edges over a
+    /// Holme–Kim stream of 20x that many arrivals, sized the way
+    /// `GpsSampler` sizes it and evicting a random sampled edge per insert
+    /// once full. `observe` sees the sample after every arrival.
+    fn reservoir_churn(cap: usize, mut observe: impl FnMut(&CompactAdjacency<u32>)) {
+        let mut rng = SplitMix(0x5EED);
+        let stream = holme_kim_stream(&mut rng, 20 * cap);
         let mut sample: CompactAdjacency<u32> =
-            CompactAdjacency::with_capacity(2 * (CAP + 1), CAP + 1);
-        assert_eq!(sample.node_filter.len(), MIN_FILTER_LEN);
-        let sizes = |g: &CompactAdjacency<u32>| (g.index_of.buckets(), g.node_filter.len());
-        let mut held: Vec<Edge> = Vec::with_capacity(CAP + 1);
-        let (mut peak, mut sizes_at_peak) = (0, sizes(&sample));
-        let mut history = Vec::with_capacity(stream.len());
+            CompactAdjacency::with_capacity(2 * (cap + 1), cap + 1);
+        observe(&sample);
+        let mut held: Vec<Edge> = Vec::with_capacity(cap + 1);
         for (k, &e) in stream.iter().enumerate() {
             sample.insert(e, k as u32);
             held.push(e);
-            if held.len() > CAP {
-                let victim = held.swap_remove(next(held.len()));
+            if held.len() > cap {
+                let victim = held.swap_remove(rng.below(held.len()));
                 sample.remove(victim);
+            }
+            observe(&sample);
+        }
+    }
+
+    #[test]
+    fn index_follows_the_live_node_peak_under_reservoir_churn() {
+        let sizes = |g: &CompactAdjacency<u32>| (g.index_of.buckets(), g.node_filter.len());
+        let mut first = true;
+        let (mut peak, mut sizes_at_peak) = (0, (0, 0));
+        let mut history = Vec::new();
+        let mut last = (0, 0, 0, 0);
+        reservoir_churn(2_000, |sample| {
+            if first {
+                assert_eq!(sample.node_filter.len(), MIN_FILTER_LEN);
+                first = false;
+                sizes_at_peak = sizes(sample);
+                return;
             }
             if sample.num_nodes() > peak {
                 peak = sample.num_nodes();
-                sizes_at_peak = sizes(&sample);
+                sizes_at_peak = sizes(sample);
                 history.clear();
             }
-            history.push(sizes(&sample));
-        }
-        assert_eq!(sample.index_of.len(), sample.num_nodes());
-        assert_eq!(sample.node_bits.len() * 64, sample.node_filter.len());
+            history.push(sizes(sample));
+            last = (
+                sample.index_of.len(),
+                sample.num_nodes(),
+                sample.node_bits.len() * 64,
+                sample.node_filter.len(),
+            );
+        });
+        let (index_len, nodes, bits, counters) = last;
+        assert_eq!(index_len, nodes);
+        assert_eq!(bits, counters);
+        let (buckets, filter_len) = *history.last().expect("a non-empty stream");
         let bound = (peak * 5).div_ceil(4).next_power_of_two();
         assert!(
-            sample.index_of.buckets() <= bound,
-            "{} buckets for a peak of {peak} live nodes (bound {bound})",
-            sample.index_of.buckets()
+            buckets <= bound,
+            "{buckets} buckets for a peak of {peak} live nodes (bound {bound})"
         );
         let filter_bound = (peak * FILTER_SLACK).next_power_of_two();
         assert!(
-            sample.node_filter.len() <= filter_bound,
-            "{} filter counters for a peak of {peak} live nodes (bound {filter_bound})",
-            sample.node_filter.len()
+            filter_len <= filter_bound,
+            "{filter_len} filter counters for a peak of {peak} live nodes (bound {filter_bound})"
         );
         assert!(
             history.iter().all(|&(b, _)| b == sizes_at_peak.0),
@@ -1472,6 +1502,49 @@ mod tests {
             history.iter().all(|&(_, f)| f == sizes_at_peak.1),
             "the filter grew after the live-node peak"
         );
+    }
+
+    /// Sets `hub`'s degree to `target` by attaching neighbors
+    /// `100 + d` in ascending `d`, or detaching them in descending `d`.
+    fn drive_hub(g: &mut CompactAdjacency<u32>, hub: NodeId, target: u32) {
+        let current = g.degree(hub) as u32;
+        for d in current..target {
+            g.insert(Edge::new(hub, 100 + d), d);
+        }
+        for d in (target..current).rev() {
+            assert_eq!(g.remove(Edge::new(hub, 100 + d)), Some(d));
+        }
+        assert_eq!(g.degree(hub), target as usize);
+    }
+
+    #[test]
+    fn spill_count_is_pinned_across_hub_cycles_and_reservoir_churn() {
+        // The count is of lists growing past 2, 4, 8, ... entries, whatever
+        // the slot and block layout. Four hubs share neighbors 100..140, so
+        // each of those reaches degree 4 on every climb as well.
+        let mut g: CompactAdjacency<u32> = CompactAdjacency::new();
+        let mut counts = Vec::new();
+        for target in [40, 0, 40, 3, 9, 2, 5, 0] {
+            for hub in 0..4 {
+                drive_hub(&mut g, hub, target);
+            }
+            counts.push(g.spill_count());
+        }
+        assert_eq!(counts, [60, 60, 120, 120, 126, 126, 137, 137]);
+        assert!(g.is_empty());
+
+        // Every 10,000th observation of the churn script, then the last.
+        let (mut spills, mut last) = (Vec::new(), 0);
+        let mut observed = 0;
+        reservoir_churn(2_000, |sample| {
+            observed += 1;
+            last = sample.spill_count();
+            if observed % 10_000 == 0 {
+                spills.push(last);
+            }
+        });
+        spills.push(last);
+        assert_eq!(spills, [4829, 9224, 13029, 16480, 16481]);
     }
 
     #[test]
