@@ -9,8 +9,12 @@
 //!
 //! The heap is 4-ary rather than binary: `replace_min` — one sift-down per
 //! eviction — is on the sampler's hot path, and a fan-out of 4 halves the
-//! sift depth while each level's four 16-byte children share one cache
-//! line, so the sift touches half as many lines for the same comparisons.
+//! sift depth. Priorities and slots live in two parallel arrays, 12 bytes
+//! per entry instead of a 16-byte padded struct, and the sift compares
+//! priorities only: a level's four children are 32 contiguous bytes of the
+//! priority array, within one 64-byte cache line or split across two,
+//! depending on where the allocator placed the buffer (it guarantees only
+//! 16-byte alignment).
 
 /// One heap entry: a priority and the slab slot of the edge carrying it.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -30,11 +34,16 @@ pub struct HeapEntry {
 /// almost surely distinct (continuous `u`).
 #[derive(Clone, Debug, Default)]
 pub struct MinHeap {
-    entries: Vec<HeapEntry>,
+    /// `priorities[i]` and `slots[i]` are the `i`-th entry, in heap order.
+    priorities: Vec<f64>,
+    slots: Vec<u32>,
 }
 
 /// Heap fan-out. Children of `i` live at `ARITY*i + 1 ..= ARITY*i + ARITY`.
 const ARITY: usize = 4;
+
+// An entry costs a priority and a slot, no padding.
+const _: () = assert!(std::mem::size_of::<f64>() + std::mem::size_of::<u32>() == 12);
 
 impl MinHeap {
     /// Creates an empty heap.
@@ -45,47 +54,52 @@ impl MinHeap {
     /// Creates an empty heap with pre-allocated capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         MinHeap {
-            entries: Vec::with_capacity(capacity),
+            priorities: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
         }
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.priorities.len()
     }
 
     /// True if no entries are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.priorities.is_empty()
     }
 
     /// The minimum-priority entry, if any. O(1).
     #[inline]
     pub fn peek(&self) -> Option<HeapEntry> {
-        self.entries.first().copied()
+        (!self.is_empty()).then(|| self.entry(0))
     }
 
     /// Inserts an entry. O(log n).
     pub fn push(&mut self, entry: HeapEntry) {
         debug_assert!(!entry.priority.is_nan(), "NaN priority");
-        self.entries.push(entry);
-        self.sift_up(self.entries.len() - 1);
+        self.priorities.push(entry.priority);
+        self.slots.push(entry.slot);
+        self.sift_up(self.len() - 1);
     }
 
     /// Removes and returns the minimum-priority entry. O(log n).
     pub fn pop(&mut self) -> Option<HeapEntry> {
-        let n = self.entries.len();
+        let n = self.len();
         if n == 0 {
             return None;
         }
-        self.entries.swap(0, n - 1);
-        let min = self.entries.pop();
-        if !self.entries.is_empty() {
+        self.swap(0, n - 1);
+        let min = HeapEntry {
+            priority: self.priorities.pop()?,
+            slot: self.slots.pop()?,
+        };
+        if !self.is_empty() {
             self.sift_down(0);
         }
-        min
+        Some(min)
     }
 
     /// Replaces the minimum entry with `entry` and returns the old minimum;
@@ -94,31 +108,52 @@ impl MinHeap {
     /// edge (paper Alg 1, lines 11–14).
     pub fn replace_min(&mut self, entry: HeapEntry) -> Option<HeapEntry> {
         debug_assert!(!entry.priority.is_nan(), "NaN priority");
-        if self.entries.is_empty() {
+        if self.is_empty() {
             self.push(entry);
             return None;
         }
-        let old = self.entries[0];
-        self.entries[0] = entry;
+        let old = self.entry(0);
+        self.priorities[0] = entry.priority;
+        self.slots[0] = entry.slot;
         self.sift_down(0);
         Some(old)
     }
 
     /// Drops all entries.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.priorities.clear();
+        self.slots.clear();
     }
 
     /// Iterates entries in arbitrary (array) order.
     pub fn iter(&self) -> impl Iterator<Item = HeapEntry> + '_ {
-        self.entries.iter().copied()
+        self.priorities
+            .iter()
+            .zip(&self.slots)
+            .map(|(&priority, &slot)| HeapEntry { priority, slot })
+    }
+
+    /// The entry at array position `i`.
+    #[inline]
+    fn entry(&self, i: usize) -> HeapEntry {
+        HeapEntry {
+            priority: self.priorities[i],
+            slot: self.slots[i],
+        }
+    }
+
+    /// Swaps the entries at array positions `i` and `j`.
+    #[inline]
+    fn swap(&mut self, i: usize, j: usize) {
+        self.priorities.swap(i, j);
+        self.slots.swap(i, j);
     }
 
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if self.entries[i].priority < self.entries[parent].priority {
-                self.entries.swap(i, parent);
+            if self.priorities[i] < self.priorities[parent] {
+                self.swap(i, parent);
                 i = parent;
             } else {
                 break;
@@ -127,7 +162,7 @@ impl MinHeap {
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let n = self.entries.len();
+        let n = self.len();
         loop {
             let first = ARITY * i + 1;
             if first >= n {
@@ -136,14 +171,14 @@ impl MinHeap {
             let last = (first + ARITY).min(n);
             let mut smallest = i;
             for child in first..last {
-                if self.entries[child].priority < self.entries[smallest].priority {
+                if self.priorities[child] < self.priorities[smallest] {
                     smallest = child;
                 }
             }
             if smallest == i {
                 break;
             }
-            self.entries.swap(i, smallest);
+            self.swap(i, smallest);
             i = smallest;
         }
     }
@@ -151,10 +186,7 @@ impl MinHeap {
     /// Verifies the heap invariant (test / debug helper).
     #[doc(hidden)]
     pub fn check_invariant(&self) -> bool {
-        (1..self.entries.len()).all(|i| {
-            let parent = (i - 1) / ARITY;
-            self.entries[parent].priority <= self.entries[i].priority
-        })
+        (1..self.len()).all(|i| self.priorities[(i - 1) / ARITY] <= self.priorities[i])
     }
 }
 

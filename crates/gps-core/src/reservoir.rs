@@ -276,8 +276,9 @@ pub struct SamplerStats {
     pub evictions: u64,
     /// Arrivals discarded on arrival (priority at or below the minimum).
     pub rejections: u64,
-    /// Lifetime adjacency-pool spill transitions (see
-    /// `gps_graph::CompactAdjacency::spill_count`).
+    /// Lifetime count of adjacency neighbor lists growing past 2, 4, 8, …
+    /// entries; a list's move from its 1-entry inline slot into a 2-entry
+    /// block is not counted (see `gps_graph::CompactAdjacency::spill_count`).
     pub slab_spills: u64,
 }
 

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use gps_graph::compact::{INLINE_NEIGHBORS, LINEAR_PROBE_MAX, SORT_AFTER};
+use gps_graph::compact::{LINEAR_PROBE_MAX, SORT_AFTER, UNSORTED_MAX};
 use gps_graph::types::{Edge, NodeId};
 use gps_graph::{AdjacencyMap, CompactAdjacency, EdgeHints};
 use proptest::prelude::*;
@@ -443,9 +443,9 @@ proptest! {
 
 /// The neighbor-order rule on plain `Vec`s: a list keeps arrival order,
 /// with `swap_remove` eviction, until it grows past [`SORT_AFTER`] entries
-/// since it last held at most [`INLINE_NEIGHBORS`]; from then on it is kept
+/// since it last held at most [`UNSORTED_MAX`]; from then on it is kept
 /// sorted by neighbor id (ordered removal), until it shrinks back to
-/// [`INLINE_NEIGHBORS`] entries.
+/// [`UNSORTED_MAX`] entries.
 #[derive(Default)]
 struct OrderModel {
     /// Per live node: its list and whether it is in sorted mode.
@@ -508,7 +508,7 @@ impl OrderModel {
         } else {
             list.swap_remove(pos);
         }
-        if list.len() <= INLINE_NEIGHBORS {
+        if list.len() <= UNSORTED_MAX {
             *sorted = false;
         }
         if list.is_empty() {
