@@ -9,12 +9,13 @@
 //!
 //! The heap is 4-ary rather than binary: `replace_min` — one sift-down per
 //! eviction — is on the sampler's hot path, and a fan-out of 4 halves the
-//! sift depth. Priorities and slots live in two parallel arrays, 12 bytes
-//! per entry instead of a 16-byte padded struct, and the sift compares
-//! priorities only: a level's four children are 32 contiguous bytes of the
-//! priority array, within one 64-byte cache line or split across two,
+//! sift depth. Each entry is packed into 12 bytes, the priority's bits as
+//! two `u32` halves and then the slot, with 4-byte alignment so nothing
+//! pads it to the 16 bytes a `(f64, u32)` struct takes. A level's four
+//! children are 48 contiguous bytes: one 64-byte cache line or two,
 //! depending on where the allocator placed the buffer (it guarantees only
-//! 16-byte alignment).
+//! 16-byte alignment). Priorities and slots in two separate arrays are
+//! also 12 bytes per entry, but cost a second allocation per sampler.
 
 /// One heap entry: a priority and the slab slot of the edge carrying it.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -34,16 +35,39 @@ pub struct HeapEntry {
 /// almost surely distinct (continuous `u`).
 #[derive(Clone, Debug, Default)]
 pub struct MinHeap {
-    /// `priorities[i]` and `slots[i]` are the `i`-th entry, in heap order.
-    priorities: Vec<f64>,
-    slots: Vec<u32>,
+    entries: Vec<Packed>,
 }
 
 /// Heap fan-out. Children of `i` live at `ARITY*i + 1 ..= ARITY*i + ARITY`.
 const ARITY: usize = 4;
 
-// An entry costs a priority and a slot, no padding.
-const _: () = assert!(std::mem::size_of::<f64>() + std::mem::size_of::<u32>() == 12);
+/// A stored entry: the low and high halves of the priority's bits, then
+/// the slot.
+type Packed = [u32; 3];
+
+const _: () = assert!(std::mem::size_of::<Packed>() == 12);
+
+impl HeapEntry {
+    #[inline]
+    fn pack(self) -> Packed {
+        let bits = self.priority.to_bits();
+        [bits as u32, (bits >> 32) as u32, self.slot]
+    }
+
+    #[inline]
+    fn unpack(packed: Packed) -> HeapEntry {
+        HeapEntry {
+            priority: priority(&packed),
+            slot: packed[2],
+        }
+    }
+}
+
+/// The priority of a stored entry.
+#[inline]
+fn priority(packed: &Packed) -> f64 {
+    f64::from_bits(packed[0] as u64 | (packed[1] as u64) << 32)
+}
 
 impl MinHeap {
     /// Creates an empty heap.
@@ -54,52 +78,47 @@ impl MinHeap {
     /// Creates an empty heap with pre-allocated capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         MinHeap {
-            priorities: Vec::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity),
         }
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.priorities.len()
+        self.entries.len()
     }
 
     /// True if no entries are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.priorities.is_empty()
+        self.entries.is_empty()
     }
 
     /// The minimum-priority entry, if any. O(1).
     #[inline]
     pub fn peek(&self) -> Option<HeapEntry> {
-        (!self.is_empty()).then(|| self.entry(0))
+        self.entries.first().copied().map(HeapEntry::unpack)
     }
 
     /// Inserts an entry. O(log n).
     pub fn push(&mut self, entry: HeapEntry) {
         debug_assert!(!entry.priority.is_nan(), "NaN priority");
-        self.priorities.push(entry.priority);
-        self.slots.push(entry.slot);
-        self.sift_up(self.len() - 1);
+        self.entries.push(entry.pack());
+        self.sift_up(self.entries.len() - 1);
     }
 
     /// Removes and returns the minimum-priority entry. O(log n).
     pub fn pop(&mut self) -> Option<HeapEntry> {
-        let n = self.len();
+        let n = self.entries.len();
         if n == 0 {
             return None;
         }
-        self.swap(0, n - 1);
-        let min = HeapEntry {
-            priority: self.priorities.pop()?,
-            slot: self.slots.pop()?,
-        };
-        if !self.is_empty() {
+        self.entries.swap(0, n - 1);
+        let min = self.entries.pop().map(HeapEntry::unpack);
+        if !self.entries.is_empty() {
             self.sift_down(0);
         }
-        Some(min)
+        min
     }
 
     /// Replaces the minimum entry with `entry` and returns the old minimum;
@@ -108,52 +127,31 @@ impl MinHeap {
     /// edge (paper Alg 1, lines 11–14).
     pub fn replace_min(&mut self, entry: HeapEntry) -> Option<HeapEntry> {
         debug_assert!(!entry.priority.is_nan(), "NaN priority");
-        if self.is_empty() {
+        if self.entries.is_empty() {
             self.push(entry);
             return None;
         }
-        let old = self.entry(0);
-        self.priorities[0] = entry.priority;
-        self.slots[0] = entry.slot;
+        let old = HeapEntry::unpack(self.entries[0]);
+        self.entries[0] = entry.pack();
         self.sift_down(0);
         Some(old)
     }
 
     /// Drops all entries.
     pub fn clear(&mut self) {
-        self.priorities.clear();
-        self.slots.clear();
+        self.entries.clear();
     }
 
     /// Iterates entries in arbitrary (array) order.
     pub fn iter(&self) -> impl Iterator<Item = HeapEntry> + '_ {
-        self.priorities
-            .iter()
-            .zip(&self.slots)
-            .map(|(&priority, &slot)| HeapEntry { priority, slot })
-    }
-
-    /// The entry at array position `i`.
-    #[inline]
-    fn entry(&self, i: usize) -> HeapEntry {
-        HeapEntry {
-            priority: self.priorities[i],
-            slot: self.slots[i],
-        }
-    }
-
-    /// Swaps the entries at array positions `i` and `j`.
-    #[inline]
-    fn swap(&mut self, i: usize, j: usize) {
-        self.priorities.swap(i, j);
-        self.slots.swap(i, j);
+        self.entries.iter().copied().map(HeapEntry::unpack)
     }
 
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if self.priorities[i] < self.priorities[parent] {
-                self.swap(i, parent);
+            if priority(&self.entries[i]) < priority(&self.entries[parent]) {
+                self.entries.swap(i, parent);
                 i = parent;
             } else {
                 break;
@@ -162,7 +160,7 @@ impl MinHeap {
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let n = self.len();
+        let n = self.entries.len();
         loop {
             let first = ARITY * i + 1;
             if first >= n {
@@ -171,14 +169,14 @@ impl MinHeap {
             let last = (first + ARITY).min(n);
             let mut smallest = i;
             for child in first..last {
-                if self.priorities[child] < self.priorities[smallest] {
+                if priority(&self.entries[child]) < priority(&self.entries[smallest]) {
                     smallest = child;
                 }
             }
             if smallest == i {
                 break;
             }
-            self.swap(i, smallest);
+            self.entries.swap(i, smallest);
             i = smallest;
         }
     }
@@ -186,7 +184,10 @@ impl MinHeap {
     /// Verifies the heap invariant (test / debug helper).
     #[doc(hidden)]
     pub fn check_invariant(&self) -> bool {
-        (1..self.len()).all(|i| self.priorities[(i - 1) / ARITY] <= self.priorities[i])
+        (1..self.entries.len()).all(|i| {
+            let parent = (i - 1) / ARITY;
+            priority(&self.entries[parent]) <= priority(&self.entries[i])
+        })
     }
 }
 
