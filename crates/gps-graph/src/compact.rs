@@ -12,7 +12,7 @@
 //!    the sampler's `u32` values, with no enum tag — so for the typical
 //!    degree-1 node one resolution answers degree, membership and
 //!    iteration. (On the `bulk-ingest` benchmark at seed 1 a shard's sample
-//!    ends with about 164.5k nodes of degree 1, 12.3k of degree 2 and 2.9k
+//!    ends with about 164.5k nodes of degree 1, 12.3k of degree 2 and 2.7k
 //!    of degree ≥ 3, which is why the inline cap is 1.) The id → index map
 //!    is a private open-addressed table of 8-byte `(id, slot + 1)` buckets:
 //!    linear probing from a Fibonacci hash, backward-shift deletion (no
@@ -30,12 +30,12 @@
 //!    through per-size-class free lists (the free "next" pointer lives
 //!    inside the freed block itself, so the structure allocates nothing per
 //!    edge once warm; a class with no free block splits a larger free one
-//!    before the pool grows). Neighbor order is a function of the insert/remove
-//!    sequence alone: a list keeps arrival order with `swap_remove`
-//!    eviction while it has not grown past [`SORT_AFTER`] entries since it
-//!    last held at most [`UNSORTED_MAX`] — inline, then in a class-0 or
-//!    class-1 block — and is kept sorted by neighbor id from then on
-//!    (blocks of class ≥ 2). A list that shrinks to [`UNSORTED_MAX`]
+//!    before the pool grows). Neighbor order is a function of the
+//!    insert/remove sequence alone: a list keeps arrival order with
+//!    `swap_remove` eviction while it has not grown past [`SORT_AFTER`]
+//!    entries since it last held at most [`UNSORTED_MAX`] — inline, then in
+//!    a class-0 or class-1 block — and is kept sorted by neighbor id from
+//!    then on (blocks of class ≥ 2). A list that shrinks to [`UNSORTED_MAX`]
 //!    entries moves to a class-0 block, and one that shrinks to the inline
 //!    cap migrates inline again.
 //! 3. **Adaptive intersection kernel.** Common-neighbor enumeration walks
@@ -114,15 +114,17 @@ const _: () = {
     assert!(std::mem::size_of::<NodeSlot<u32>>() == 16);
 };
 
-/// Spill-pool entries reserved per edge by [`CompactAdjacency::with_capacity`].
-/// Each edge stores one entry in each endpoint's list, and a list that grew
-/// to its length sits in a block at most twice as long, so 4 per edge holds
-/// every list in the block it grew into. Blocks that shrunken lists left
-/// behind are split for shorter ones, which keeps a hub-heavy reservoir
-/// churn (a uniform 2,000-edge sample of a Holme–Kim stream) at 3.4 entries
-/// per edge; the `bulk-ingest` benchmark, mostly degree-1 nodes, ends near
-/// 0.44. The reserved pages a graph never reaches are never touched, so they
-/// are not resident: the headroom costs address space, not memory.
+/// Spill-pool entries reserved per edge by
+/// [`CompactAdjacency::with_capacity`]. Each edge stores one entry in each
+/// endpoint's list, and a list that grew to its length sits in a block at
+/// most twice as long, so 4 per edge holds every list in the block it grew
+/// into. Blocks that shrunken lists left behind are split for shorter ones,
+/// which keeps a hub-heavy reservoir churn (a uniform 2,000-edge sample of
+/// a Holme–Kim stream) at 3.4 entries per edge; the `bulk-ingest`
+/// benchmark, mostly degree-1 nodes, ends near 0.44. Reserved pages the
+/// pool never reaches are never touched, so they are not resident: the
+/// headroom costs address space, not memory (a build reserving the old
+/// `edges / 2` read the same `mem_mb` on `bulk-ingest`).
 const POOL_ENTRIES_PER_EDGE: usize = 4;
 
 /// Empty free-list marker (pool offsets comfortably fit below it).
@@ -205,7 +207,7 @@ impl Default for EdgeHints {
 }
 
 /// One interned node: its external id, a packed length word, and its first
-/// [`INLINE_NEIGHBORS`] neighbor. Once the list outgrows it it moves to
+/// [`INLINE_NEIGHBORS`] neighbor. Once the list outgrows it, it moves to
 /// `pool[offset .. offset + block_len(class)]`, with `offset` kept in the
 /// `NodeId` field of `inline[0]` and `class` in the high bits of `packed`;
 /// so a list lives inline exactly when its length is at most
