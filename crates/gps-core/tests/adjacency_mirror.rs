@@ -9,7 +9,7 @@
 //! and with them every priority after it.
 
 use gps_core::weights::{EdgeWeight, TriadWeight, TriangleWeight, UniformWeight, WedgeWeight};
-use gps_core::{Arrival, GpsSampler};
+use gps_core::{Arrival, GpsSampler, SampleView};
 use gps_graph::types::Edge;
 use gps_graph::AdjacencyMap;
 use gps_stream::{gen, permuted};
@@ -26,8 +26,26 @@ fn arb_stream(max_n: u32, max_m: usize) -> impl Strategy<Value = Vec<Edge>> {
     })
 }
 
+/// Asserts `EdgeWeight`'s documented contract for every built-in weight:
+/// `weight_and_presence(e, view) == (weight(e, view), view.contains(e))`.
+fn assert_weight_contract(view: &SampleView<'_>, e: Edge) {
+    fn check<W: EdgeWeight>(weight_fn: W, view: &SampleView<'_>, e: Edge) {
+        assert_eq!(
+            weight_fn.weight_and_presence(e, view),
+            (weight_fn.weight(e, view), view.contains(e)),
+            "weight_and_presence of {e} under {}",
+            std::any::type_name::<W>()
+        );
+    }
+    check(UniformWeight, view, e);
+    check(TriangleWeight::default(), view, e);
+    check(WedgeWeight::default(), view, e);
+    check(TriadWeight::default(), view, e);
+}
+
 /// Streams `stream` through a sampler and its mirror, asserting equal
-/// topology answers before each arrival and equal edge sets at the end.
+/// topology answers and the weight contract before each arrival and equal
+/// edge sets at the end.
 fn assert_mirrors<W: EdgeWeight>(stream: &[Edge], capacity: usize, weight_fn: W, seed: u64) {
     let mut sampler = GpsSampler::new(capacity, weight_fn, seed);
     let mut mirror: AdjacencyMap<()> = AdjacencyMap::new();
@@ -44,6 +62,7 @@ fn assert_mirrors<W: EdgeWeight>(stream: &[Edge], capacity: usize, weight_fn: W,
             mirror.triangle_closure_counts(u, v)
         );
         assert_eq!(view.wedge_closure_raw(e), mirror.wedge_closure_counts(u, v));
+        assert_weight_contract(&view, e);
         match sampler.process(e) {
             Arrival::Duplicate => assert!(mirror.contains(e), "duplicate of unsampled {e}"),
             Arrival::Inserted { .. } => assert_eq!(mirror.insert(e, ()), None),

@@ -1595,6 +1595,116 @@ mod tests {
         assert_eq!(spills, [4829, 9224, 13029, 16480, 16481]);
     }
 
+    /// Pairs probed, by the list each one meets: `[inline, unsorted block,
+    /// sorted merge, binary search]`.
+    type Regimes = [usize; 4];
+
+    /// Asserts that the counting queries on `(u, v)` agree with the
+    /// enumeration kernel, and tallies the regimes the pair exercises.
+    fn assert_counts_match_enumeration(
+        g: &CompactAdjacency<u32>,
+        u: NodeId,
+        v: NodeId,
+        regimes: &mut Regimes,
+    ) {
+        let mut common = 0;
+        g.for_each_common_neighbor(u, v, |_, _, _| common += 1);
+        let present = g.contains(Edge::new(u, v));
+        let degree_sum = g.degree(u) + g.degree(v);
+        assert_eq!(
+            g.triangle_closure_counts(u, v),
+            (common, present),
+            "triangle_closure_counts({u}, {v})"
+        );
+        assert_eq!(
+            g.triad_counts(u, v),
+            (common, degree_sum, present),
+            "triad_counts({u}, {v})"
+        );
+        assert_eq!(
+            g.common_neighbor_count(u, v),
+            common,
+            "common_neighbor_count({u}, {v})"
+        );
+        let (Some(iu), Some(iv)) = (g.lookup(u), g.lookup(v)) else {
+            return;
+        };
+        let (lu, u_sorted) = g.list_tagged(iu);
+        let (lv, v_sorted) = g.list_tagged(iv);
+        for (list, sorted) in [(lu, u_sorted), (lv, v_sorted)] {
+            if list.len() <= INLINE_NEIGHBORS {
+                regimes[0] += 1;
+            } else if !sorted {
+                regimes[1] += 1;
+            }
+        }
+        let large = if lu.len() <= lv.len() {
+            (lv, v_sorted)
+        } else {
+            (lu, u_sorted)
+        };
+        if u_sorted && v_sorted && CompactAdjacency::<u32>::balanced(lu.len(), lv.len()) {
+            regimes[2] += 1;
+        } else if large.1 && large.0.len() > LINEAR_PROBE_MAX {
+            regimes[3] += 1;
+        }
+    }
+
+    /// Probes every live edge's endpoints, every pair of `hubs`, and ids
+    /// that were never inserted, against live and absent partners.
+    fn probe_counting_queries(g: &CompactAdjacency<u32>, hubs: &[NodeId], regimes: &mut Regimes) {
+        const ABSENT: [NodeId; 2] = [9_999_991, 9_999_992];
+        for (e, _) in g.edges() {
+            assert_counts_match_enumeration(g, e.u(), e.v(), regimes);
+        }
+        for (i, &a) in hubs.iter().enumerate() {
+            for &b in &hubs[i + 1..] {
+                assert_counts_match_enumeration(g, a, b, regimes);
+            }
+            assert_counts_match_enumeration(g, a, ABSENT[0], regimes);
+        }
+        assert_counts_match_enumeration(g, ABSENT[0], ABSENT[1], regimes);
+    }
+
+    #[test]
+    fn counting_queries_match_the_enumeration_kernel() {
+        // Hub cycles, one edge per step: degree 40 sends the hubs' lists
+        // past LINEAR_PROBE_MAX (binary search against their degree-4
+        // neighbors, merges between hubs), degrees 2..=4 hold unsorted
+        // blocks and degree 1 lists are inline.
+        let hubs = [0, 1, 2, 3];
+        let mut g: CompactAdjacency<u32> = CompactAdjacency::new();
+        let mut regimes = Regimes::default();
+        for target in [40, 0, 40, 3, 9, 2, 5, 0] {
+            for &hub in &hubs {
+                let current = g.degree(hub) as u32;
+                let steps: Vec<u32> = if target >= current {
+                    (current + 1..=target).collect()
+                } else {
+                    (target..current).rev().collect()
+                };
+                for degree in steps {
+                    drive_hub(&mut g, hub, degree);
+                    probe_counting_queries(&g, &hubs, &mut regimes);
+                }
+            }
+        }
+        assert!(regimes.iter().all(|&n| n > 0), "hub cycles: {regimes:?}");
+
+        // The reservoir-churn script, whose Holme–Kim seed clique 0..5
+        // holds the stream's hubs. At 400 edges the clique's lists still
+        // pass LINEAR_PROBE_MAX while the reservoir fills; the 2,000 of the
+        // other churn tests would take minutes to probe in a debug build.
+        let mut regimes = Regimes::default();
+        reservoir_churn(400, |sample| {
+            probe_counting_queries(sample, &[0, 1, 2, 3, 4], &mut regimes);
+        });
+        assert!(
+            regimes.iter().all(|&n| n > 0),
+            "reservoir churn: {regimes:?}"
+        );
+    }
+
     #[test]
     fn sampler_sized_pool_does_not_reallocate_under_reservoir_churn() {
         let (mut reserved, mut peak) = (None, 0);
