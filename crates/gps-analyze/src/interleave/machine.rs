@@ -380,11 +380,6 @@ impl Machine {
         Ok(m)
     }
 
-    /// Thread display name.
-    pub fn thread_name(&self, t: usize) -> &str {
-        &self.progs[t].name
-    }
-
     /// Number of threads.
     pub fn nthreads(&self) -> usize {
         self.threads.len()

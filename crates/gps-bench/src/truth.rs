@@ -1,7 +1,6 @@
 //! Ground-truth computation for experiment workloads.
 
 use gps_graph::csr::CsrGraph;
-use gps_graph::degrees::DegreeStats;
 use gps_graph::exact;
 use gps_graph::types::Edge;
 
@@ -37,11 +36,6 @@ impl GroundTruth {
             nodes: g.num_nodes(),
             edges: g.num_edges(),
         }
-    }
-
-    /// Degree summary (for workload documentation output).
-    pub fn degree_stats(edges: &[Edge]) -> DegreeStats {
-        DegreeStats::of(&CsrGraph::from_edges(edges))
     }
 }
 

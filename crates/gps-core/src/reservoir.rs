@@ -16,9 +16,12 @@
 //! Horvitz–Thompson edge estimator.
 //!
 //! Data structures follow the paper §3.2: a binary min-heap over priorities
-//! (O(1) eviction candidate, O(log m) updates) plus a hash adjacency over
-//! the sampled edges so that topology-dependent weights cost
-//! `O(min(deĝ(v1), deĝ(v2)))`, and total space is `O(|V̂| + m)`.
+//! (O(1) eviction candidate, O(log m) updates) plus the sampled adjacency, a
+//! [`CompactAdjacency`] (interned nodes with sorted or short neighbor lists,
+//! no edge hash table). Topology-dependent weights intersect the two
+//! endpoint lists: `O(min(deĝ(v1), deĝ(v2)))` typically and
+//! `O(min deĝ · log max deĝ)` in the worst case. Total space is
+//! `O(|V̂| + m)`.
 
 use crate::heap::{HeapEntry, MinHeap};
 use crate::slab::{EdgeRecord, Slab, SlotId};
@@ -112,62 +115,21 @@ impl<'a> SampleView<'a> {
         self.adj.get(edge).map(|slot| self.slab.get(slot).weight)
     }
 
-    /// Current HT inclusion probability `p(k) = min{1, w(k)/z*}` of a
-    /// sampled edge (`1` while `z* = 0`, i.e. before any discard).
-    #[inline]
-    pub fn inclusion_prob_of(&self, edge: Edge) -> Option<f64> {
-        self.adj.get(edge).map(|slot| self.prob_of_slot(slot))
-    }
-
-    /// Number of sampled triangles the (not necessarily sampled) edge
-    /// `(u, v)` closes: `|Γ̂(u) ∩ Γ̂(v)|`.
-    #[inline]
-    pub fn triangles_closed_by(&self, edge: Edge) -> usize {
-        self.adj.common_neighbor_count(edge.u(), edge.v())
-    }
-
-    /// Number of sampled edges adjacent to `edge` — the number of wedges it
-    /// closes. If `edge` is itself sampled it is not counted.
-    #[inline]
-    pub fn wedges_closed_by(&self, edge: Edge) -> usize {
-        let (deg_sum, present) = self.adj.wedge_closure_counts(edge.u(), edge.v());
-        deg_sum - if present { 2 } else { 0 }
-    }
-
-    /// Fused `(triangles, wedges)` closed by `edge` — one endpoint
-    /// resolution instead of the three separate
-    /// [`SampleView::triangles_closed_by`] + [`SampleView::wedges_closed_by`]
-    /// walks; the inner loop of [`crate::weights::TriadWeight`].
-    #[inline]
-    pub fn triad_closed_by(&self, edge: Edge) -> (usize, usize) {
-        let (triangles, deg_sum, present) = self.adj.triad_counts(edge.u(), edge.v());
-        (triangles, deg_sum - if present { 2 } else { 0 })
-    }
-
-    /// Raw fused topology query `(triangles, degree-sum, edge_present)` —
-    /// the single-resolution primitive behind
-    /// [`crate::weights::EdgeWeight::weight_and_presence`].
+    /// Fused topology query `(triangles, degree-sum, edge_present)` for
+    /// the (not necessarily sampled) `edge`: `|Γ̂(u) ∩ Γ̂(v)|`,
+    /// `deĝ(u) + deĝ(v)` and whether `edge` is sampled, with one resolution
+    /// per endpoint (wedge and triad weights).
     #[inline]
     pub fn triad_counts_raw(&self, edge: Edge) -> (usize, usize, bool) {
         self.adj.triad_counts(edge.u(), edge.v())
     }
 
-    /// Raw fused `(triangles, edge_present)` query (triangle weights).
+    /// Fused `(triangles, edge_present)` query (triangle weights): no
+    /// degrees, so an arrival with an unsampled endpoint costs two filter
+    /// bit probes.
     #[inline]
     pub fn triangle_closure_raw(&self, edge: Edge) -> (usize, bool) {
         self.adj.triangle_closure_counts(edge.u(), edge.v())
-    }
-
-    /// Raw fused `(degree-sum, edge_present)` query (wedge weights).
-    #[inline]
-    pub fn wedge_closure_raw(&self, edge: Edge) -> (usize, bool) {
-        self.adj.wedge_closure_counts(edge.u(), edge.v())
-    }
-
-    /// HT inclusion probability for a slot.
-    #[inline]
-    pub(crate) fn prob_of_slot(&self, slot: SlotId) -> f64 {
-        prob(self.slab.get(slot).weight, self.threshold)
     }
 
     /// Calls `f(w, slot_uw, slot_vw)` for each sampled common neighbor `w`
@@ -819,11 +781,11 @@ mod tests {
         assert_eq!(v.num_edges(), 4);
         assert_eq!(v.num_nodes(), 4);
         assert_eq!(v.degree(3), 3);
-        assert_eq!(v.triangles_closed_by(Edge::new(1, 4)), 1);
-        assert_eq!(v.wedges_closed_by(Edge::new(4, 5)), 1);
-        // For an edge already in the sample, adjacency excludes itself:
-        // partners are (1,3) at node 1 and (2,3) at node 2.
-        assert_eq!(v.wedges_closed_by(Edge::new(1, 2)), 2);
+        assert_eq!(v.triangle_closure_raw(Edge::new(1, 4)), (1, false));
+        assert_eq!(v.triad_counts_raw(Edge::new(4, 5)), (0, 1, false));
+        // A sampled edge is in both endpoints' degrees: (1,2) closes the
+        // triangle via 3 and has the partners (1,3) and (2,3).
+        assert_eq!(v.triad_counts_raw(Edge::new(1, 2)), (1, 4, true));
         assert!(v.weight_of(Edge::new(1, 2)).is_some());
         assert_eq!(v.weight_of(Edge::new(7, 8)), None);
     }

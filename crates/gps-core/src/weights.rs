@@ -23,9 +23,10 @@ pub trait EdgeWeight {
 
     /// Weight plus "is `edge` already sampled" in one call — the sampler's
     /// per-arrival fast path. The default composes [`EdgeWeight::weight`]
-    /// with a separate membership test; topology-driven weights override it
-    /// to reuse the endpoint resolutions their weight walk performs anyway
-    /// (see [`TriangleWeight`]). Implementations must return exactly
+    /// with a separate membership test; the topology-driven built-in
+    /// weights write their formula here, on one fused query that answers
+    /// presence too, and derive [`EdgeWeight::weight`] from it.
+    /// Implementations must return exactly
     /// `(self.weight(edge, sample), sample.contains(edge))`.
     #[inline]
     fn weight_and_presence(&self, edge: Edge, sample: &SampleView<'_>) -> (f64, bool) {
@@ -75,7 +76,7 @@ impl Default for TriangleWeight {
 impl EdgeWeight for TriangleWeight {
     #[inline]
     fn weight(&self, edge: Edge, sample: &SampleView<'_>) -> f64 {
-        self.coefficient * sample.triangles_closed_by(edge) as f64 + self.floor
+        self.weight_and_presence(edge, sample).0
     }
 
     #[inline]
@@ -111,13 +112,12 @@ impl Default for WedgeWeight {
 impl EdgeWeight for WedgeWeight {
     #[inline]
     fn weight(&self, edge: Edge, sample: &SampleView<'_>) -> f64 {
-        self.coefficient * sample.wedges_closed_by(edge) as f64 + self.floor
+        self.weight_and_presence(edge, sample).0
     }
 
     #[inline]
     fn weight_and_presence(&self, edge: Edge, sample: &SampleView<'_>) -> (f64, bool) {
-        let (deg_sum, present) = sample.wedge_closure_raw(edge);
-        let wedges = deg_sum - if present { 2 } else { 0 };
+        let (_, wedges, present) = triad_closure(edge, sample);
         (self.coefficient * wedges as f64 + self.floor, present)
     }
 }
@@ -148,21 +148,27 @@ impl Default for TriadWeight {
 impl EdgeWeight for TriadWeight {
     #[inline]
     fn weight(&self, edge: Edge, sample: &SampleView<'_>) -> f64 {
-        let (triangles, wedges) = sample.triad_closed_by(edge);
-        self.triangle_coefficient * triangles as f64
-            + self.wedge_coefficient * wedges as f64
-            + self.floor
+        self.weight_and_presence(edge, sample).0
     }
 
     #[inline]
     fn weight_and_presence(&self, edge: Edge, sample: &SampleView<'_>) -> (f64, bool) {
-        let (triangles, deg_sum, present) = sample.triad_counts_raw(edge);
-        let wedges = deg_sum - if present { 2 } else { 0 };
+        let (triangles, wedges, present) = triad_closure(edge, sample);
         let w = self.triangle_coefficient * triangles as f64
             + self.wedge_coefficient * wedges as f64
             + self.floor;
         (w, present)
     }
+}
+
+/// `(triangles, wedges, present)` for `edge`: the sampled triangles it
+/// closes, the sampled edges adjacent to it (the wedges it closes; a
+/// sampled `edge` sits in both endpoints' degrees and is not its own
+/// partner), and whether it is sampled.
+#[inline]
+fn triad_closure(edge: Edge, sample: &SampleView<'_>) -> (usize, usize, bool) {
+    let (triangles, deg_sum, present) = sample.triad_counts_raw(edge);
+    (triangles, deg_sum - 2 * present as usize, present)
 }
 
 /// Arbitrary user-supplied weight function (attributes, auxiliary variables,

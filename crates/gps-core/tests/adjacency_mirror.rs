@@ -61,7 +61,6 @@ fn assert_mirrors<W: EdgeWeight>(stream: &[Edge], capacity: usize, weight_fn: W,
             view.triangle_closure_raw(e),
             mirror.triangle_closure_counts(u, v)
         );
-        assert_eq!(view.wedge_closure_raw(e), mirror.wedge_closure_counts(u, v));
         assert_weight_contract(&view, e);
         match sampler.process(e) {
             Arrival::Duplicate => assert!(mirror.contains(e), "duplicate of unsampled {e}"),

@@ -1358,13 +1358,6 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
         );
         &self.samplers
     }
-
-    /// Consumes the engine, returning the per-shard samplers (finishing
-    /// first if needed).
-    pub fn into_samplers(mut self) -> Vec<GpsSampler<W>> {
-        self.finish();
-        std::mem::take(&mut self.samplers)
-    }
 }
 
 impl<W: EdgeWeight> ShardedGps<W> {

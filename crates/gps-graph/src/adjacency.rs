@@ -45,14 +45,6 @@ impl<V: Copy> AdjacencyMap<V> {
         }
     }
 
-    /// Creates an empty graph sized for roughly `nodes` distinct nodes.
-    pub fn with_node_capacity(nodes: usize) -> Self {
-        AdjacencyMap {
-            adj: FxHashMap::with_capacity_and_hasher(nodes, Default::default()),
-            num_edges: 0,
-        }
-    }
-
     /// Number of edges currently present.
     #[inline]
     pub fn num_edges(&self) -> usize {
@@ -270,15 +262,6 @@ impl<V: Copy> AdjacencyMap<V> {
     pub fn triangle_closure_counts(&self, u: NodeId, v: NodeId) -> (usize, bool) {
         (
             self.common_neighbor_count(u, v),
-            self.contains(Edge::new(u, v)),
-        )
-    }
-
-    /// Fused degree-sum + presence query (API parity with
-    /// `CompactAdjacency::wedge_closure_counts`).
-    pub fn wedge_closure_counts(&self, u: NodeId, v: NodeId) -> (usize, bool) {
-        (
-            self.degree(u) + self.degree(v),
             self.contains(Edge::new(u, v)),
         )
     }

@@ -87,12 +87,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Convenience constructor for an empty [`FxHashMap`].
-#[inline]
-pub fn fx_hash_map<K, V>() -> FxHashMap<K, V> {
-    FxHashMap::default()
-}
-
 /// Convenience constructor for an [`FxHashMap`] with capacity.
 #[inline]
 pub fn fx_hash_map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {

@@ -100,11 +100,6 @@ fn assert_equivalent(compact: &CompactAdjacency<u32>, oracle: &AdjacencyMap<u32>
                 oracle.triad_counts(u, v),
                 "triad_counts({u}, {v})"
             );
-            assert_eq!(
-                compact.wedge_closure_counts(u, v),
-                oracle.wedge_closure_counts(u, v),
-                "wedge_closure_counts({u}, {v})"
-            );
         }
     }
 }
