@@ -592,7 +592,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weights::{TriangleWeight, UniformWeight};
+    use crate::weights::{TriangleWeight, UniformWeight, WedgeWeight};
 
     fn edges_chain(n: u32) -> Vec<Edge> {
         (0..n).map(|i| Edge::new(i, i + 1)).collect()
@@ -783,9 +783,13 @@ mod tests {
         assert_eq!(v.degree(3), 3);
         assert_eq!(v.triangle_closure_raw(Edge::new(1, 4)), (1, false));
         assert_eq!(v.triad_counts_raw(Edge::new(4, 5)), (0, 1, false));
-        // A sampled edge is in both endpoints' degrees: (1,2) closes the
-        // triangle via 3 and has the partners (1,3) and (2,3).
+        // For an edge already in the sample, adjacency excludes itself:
+        // partners are (1,3) at node 1 and (2,3) at node 2.
         assert_eq!(v.triad_counts_raw(Edge::new(1, 2)), (1, 4, true));
+        assert_eq!(
+            WedgeWeight::default().weight(Edge::new(1, 2), &v),
+            4.0 * 2.0 + 1.0
+        );
         assert!(v.weight_of(Edge::new(1, 2)).is_some());
         assert_eq!(v.weight_of(Edge::new(7, 8)), None);
     }
