@@ -322,6 +322,40 @@ proptest! {
     }
 
     #[test]
+    fn persist_save_load_save_is_byte_identical(
+        edges in arb_edges(48, 300),
+        capacity in 1usize..40,
+        seed in any::<u64>(),
+        cut in 0.0f64..1.0,
+    ) {
+        use gps_core::persist;
+        // Cut the stream anywhere: before the reservoir fills, right at it,
+        // or deep into evictions.
+        let cut = ((cut * (edges.len() + 1) as f64) as usize).min(edges.len());
+        let mut est = InStreamEstimator::new(capacity, TriangleWeight::default(), seed);
+        est.process_stream(edges[..cut].iter().copied());
+        let totals = est.totals();
+
+        // v1: sample only.
+        let mut first = Vec::new();
+        persist::save(est.sampler(), &mut first).unwrap();
+        let restored = persist::load(first.as_slice()).unwrap().into_sampler(UniformWeight, 0);
+        let mut second = Vec::new();
+        persist::save(&restored, &mut second).unwrap();
+        prop_assert_eq!(&first, &second, "v1 section moved through load and restore");
+
+        // v2: sample plus the in-stream accumulators, restored exactly.
+        let mut first = Vec::new();
+        persist::save_with_totals(est.sampler(), &totals, &mut first).unwrap();
+        let saved = persist::load(first.as_slice()).unwrap();
+        prop_assert_eq!(saved.totals, Some(totals));
+        let resumed = InStreamEstimator::resume(saved.into_sampler(UniformWeight, 0), totals);
+        let mut second = Vec::new();
+        persist::save_with_totals(resumed.sampler(), &resumed.totals(), &mut second).unwrap();
+        prop_assert_eq!(&first, &second, "v2 section moved through load and restore");
+    }
+
+    #[test]
     fn local_counts_sum_to_three_times_global(
         edges in arb_edges(32, 150),
         capacity in 4usize..32,
