@@ -467,14 +467,13 @@ mod tests {
         let totals = orig.totals();
         let before = orig.estimates();
         let sampler = orig.sampler();
-        let records = sampler.view().records().to_vec();
         let rebuilt = GpsSampler::restore(
             8,
             TriangleWeight::default(),
             11,
             sampler.threshold(),
             sampler.arrivals(),
-            records,
+            sampler.saved_records(),
         );
         let resumed = InStreamEstimator::resume(rebuilt, totals);
         let after = resumed.estimates();

@@ -42,9 +42,14 @@
 //! ...
 //! ```
 //!
-//! A loaded section is exactly what Algorithm 3 keeps: the sampler's
-//! [`EdgeRecord`]s (the covariance pair is zero in a v1 section) and, for
-//! v2, the [`InStreamTotals`]. Restoring a v2 section is
+//! A loaded section is exactly what Algorithm 3 keeps: one [`SavedRecord`]
+//! per sampled edge (edge, weight, priority and the covariance pair, which
+//! is zero in a v1 section) and, for v2, the [`InStreamTotals`]. The
+//! sampler holds the same data in a different shape — a 32-byte slab record
+//! per edge that keeps neither the ids nor the priority, which live in the
+//! adjacency's node slots and in the heap — so the writer builds each
+//! saved record from those three places, and [`SavedSample::into_sampler`]
+//! splits it back into them. Restoring a v2 section is
 //! [`SavedSample::into_sampler`] followed by
 //! [`InStreamEstimator::resume`] with its totals, and is *exact*: the
 //! resumed estimator's estimates are bit-identical to the saved one's at
@@ -60,7 +65,6 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use crate::in_stream::InStreamEstimator;
 use crate::in_stream::InStreamTotals;
 use crate::reservoir::GpsSampler;
-use crate::slab::EdgeRecord;
 use crate::weights::EdgeWeight;
 use gps_graph::types::Edge;
 use gps_graph::FxHashSet;
@@ -128,6 +132,25 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+/// One sampled edge in a saved section: a record line's fields.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SavedRecord {
+    /// The sampled edge.
+    pub edge: Edge,
+    /// Its sampling weight `w(k)`.
+    pub weight: f64,
+    /// Its priority `r(k) = w(k)/u(k)`.
+    pub priority: f64,
+    /// In-stream triangle covariance accumulator `C̃_k(△)` (zero in a
+    /// `gps-sample v1` section).
+    pub cov_tri: f64,
+    /// In-stream wedge covariance accumulator `C̃_k(Λ)` (zero in a
+    /// `gps-sample v1` section).
+    pub cov_wedge: f64,
+}
+
+const _: () = assert!(std::mem::size_of::<SavedRecord>() == 40);
+
 /// A sample loaded from disk, ready to become a sampler again.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SavedSample {
@@ -137,9 +160,8 @@ pub struct SavedSample {
     pub arrivals: u64,
     /// Threshold `z*` when saved.
     pub threshold: f64,
-    /// The sampled records: edge, weight, priority and the Alg. 3
-    /// covariance pair (zero in a `gps-sample v1` section).
-    pub records: Vec<EdgeRecord>,
+    /// The sampled records, in the sampler's slot order.
+    pub records: Vec<SavedRecord>,
     /// The global in-stream accumulators (`gps-sample v2` sections only;
     /// `None` for v1).
     pub totals: Option<InStreamTotals>,
@@ -218,7 +240,7 @@ fn write_section<W: EdgeWeight, Out: Write>(
         )?;
     }
     writeln!(w, "edges {}", sampler.len())?;
-    for r in sampler.view().records() {
+    for r in sampler.saved_records() {
         write!(
             w,
             "{} {} {} {}",
@@ -402,7 +424,13 @@ pub fn load_section<R: BufRead>(r: &mut R) -> Result<SavedSample, PersistError> 
             return Err(parse_err(body_line, trimmed));
         }
         let edge = Edge::try_new(u, v).ok_or_else(|| parse_err(body_line, trimmed))?;
-        let mut record = EdgeRecord::new(edge, weight, priority);
+        let mut record = SavedRecord {
+            edge,
+            weight,
+            priority,
+            cov_tri: 0.0,
+            cov_wedge: 0.0,
+        };
         if v2 {
             record.cov_tri = next()?.parse().map_err(|_| parse_err(body_line, trimmed))?;
             record.cov_wedge = next()?.parse().map_err(|_| parse_err(body_line, trimmed))?;

@@ -61,12 +61,12 @@ impl Contribution {
 /// One sampled edge's contribution (paper Alg 2 lines 3–30).
 ///
 /// The triangle and wedge enumerations share one fused adjacency walk
-/// ([`SampleView::for_each_completion_slots`]), so each endpoint of `k` is
-/// resolved once per contribution instead of once per phase. The two
-/// callbacks write disjoint local accumulators (merged below) because they
-/// are borrowed simultaneously by the fused walk.
+/// ([`SampleView::for_each_record_completion`]), started from the two
+/// endpoint slots the record's hints name, so no endpoint of `k` costs an
+/// index probe. The two callbacks write disjoint local accumulators
+/// (merged below) because they are borrowed simultaneously by the fused
+/// walk.
 fn edge_contribution(view: &SampleView<'_>, record: &EdgeRecord) -> Contribution {
-    let (v1, v2) = record.edge.endpoints();
     let z = view.threshold();
     let qi = 1.0 / prob(record.weight, z);
     // Running sums over subgraphs at this edge, used to accumulate the
@@ -76,9 +76,8 @@ fn edge_contribution(view: &SampleView<'_>, record: &EdgeRecord) -> Contribution
     let (mut n_tri, mut v_tri, mut c_tri_pairs) = (0.0, 0.0, 0.0);
     let (mut n_wedge, mut v_wedge, mut c_wedge_pairs) = (0.0, 0.0, 0.0);
 
-    view.for_each_completion_slots(
-        v1,
-        v2,
+    view.for_each_record_completion(
+        record,
         // Triangles (k1, k2, k) closed by k: sampled common neighbors.
         |_, s1, s2| {
             let q1 = prob(view.record(s1).weight, z);
@@ -171,12 +170,10 @@ pub fn estimate_counts<W: EdgeWeight>(sampler: &GpsSampler<W>) -> (f64, f64) {
     let z = view.threshold();
     let (mut tri, mut wedge) = (0.0f64, 0.0f64);
     for record in view.records() {
-        let (v1, v2) = record.edge.endpoints();
         let qi = 1.0 / prob(record.weight, z);
         let (mut tri_k, mut wedge_k) = (0.0, 0.0);
-        view.for_each_completion_slots(
-            v1,
-            v2,
+        view.for_each_record_completion(
+            record,
             |_, s1, s2| {
                 let q1 = prob(view.record(s1).weight, z);
                 let q2 = prob(view.record(s2).weight, z);

@@ -21,9 +21,16 @@
 //! no edge hash table). Topology-dependent weights intersect the two
 //! endpoint lists: `O(min(deĝ(v1), deĝ(v2)))` typically and
 //! `O(min deĝ · log max deĝ)` in the worst case. Total space is
-//! `O(|V̂| + m)`.
+//! `O(|V̂| + m)`: per sampled edge a 32-byte slab record (weight, the two
+//! Algorithm 3 covariance accumulators and the endpoint-slot hints) and a
+//! 12-byte heap entry (priority and slot), plus the adjacency's node slots,
+//! list entries and node index. Each datum is held once: an edge's node ids
+//! live only in its endpoints' adjacency slots, and its priority only in
+//! the heap, so [`GpsSampler::edges`] and the persist writer read them
+//! from there.
 
 use crate::heap::{HeapEntry, MinHeap};
+use crate::persist::SavedRecord;
 use crate::slab::{EdgeRecord, Slab, SlotId};
 use crate::weights::EdgeWeight;
 use gps_graph::types::{Edge, NodeId};
@@ -162,11 +169,25 @@ impl<'a> SampleView<'a> {
         self.adj.for_each_completion(u, v, tri, wedge);
     }
 
+    /// Completion walk of a sampled edge started from the adjacency slots
+    /// its record's hints name, so neither endpoint costs an index probe;
+    /// the same callbacks, in the same order, as
+    /// [`SampleView::for_each_completion_slots`] on its endpoints.
+    #[inline]
+    pub(crate) fn for_each_record_completion<FT, FW>(&self, record: &EdgeRecord, tri: FT, wedge: FW)
+    where
+        FT: FnMut(NodeId, SlotId, SlotId),
+        FW: FnMut(SlotId),
+    {
+        self.adj
+            .for_each_hinted_completion(record.hints, tri, wedge);
+    }
+
     /// Iterates the sampled edges themselves — for weight functions that
     /// scan the reservoir (e.g. the space-lean O(m)-rescan alternative the
     /// paper discusses in §3.2 S4).
     pub fn sampled_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.slab.records().iter().map(|r| r.edge)
+        self.slab.records().iter().map(|r| edge_of(self.adj, r))
     }
 
     /// Calls `f(w)` for each sampled common neighbor `w` of `u` and `v` —
@@ -194,6 +215,13 @@ impl<'a> SampleView<'a> {
     pub(crate) fn records(&self) -> &'a [EdgeRecord] {
         self.slab.records()
     }
+}
+
+/// The sampled edge a record belongs to, read from its endpoints' slots.
+#[inline]
+fn edge_of(adj: &CompactAdjacency<SlotId>, record: &EdgeRecord) -> Edge {
+    adj.hinted_edge(record.hints)
+        .expect("a sampled edge's hints name its endpoints")
 }
 
 /// Inclusion probability `min{1, w/z*}`, with `p = 1` while `z* = 0`.
@@ -315,7 +343,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
     }
 
     /// Restores a sampler from saved records (see
-    /// `gps_core::persist::SavedSample::into_sampler`): the sampled edges
+    /// [`crate::persist::SavedSample::into_sampler`]): the sampled edges
     /// with their original weights, priorities and in-stream covariance
     /// accumulators, plus the threshold `z*` and the stream position.
     ///
@@ -339,7 +367,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
         records: I,
     ) -> Self
     where
-        I: IntoIterator<Item = EdgeRecord>,
+        I: IntoIterator<Item = SavedRecord>,
     {
         assert!(capacity > 0, "reservoir capacity must be positive");
         assert!(
@@ -361,7 +389,13 @@ impl<W: EdgeWeight> GpsSampler<W> {
             rejections: 0,
         };
         for record in records {
-            let (edge, weight, priority) = (record.edge, record.weight, record.priority);
+            let SavedRecord {
+                edge,
+                weight,
+                priority,
+                cov_tri,
+                cov_wedge,
+            } = record;
             assert!(
                 weight.is_finite() && weight > 0.0 && priority > 0.0,
                 "invalid record for {edge}: weight {weight}, priority {priority}"
@@ -370,9 +404,14 @@ impl<W: EdgeWeight> GpsSampler<W> {
                 !sampler.adj.contains(edge),
                 "duplicate edge {edge} in restored sample"
             );
-            let slot = sampler.slab.push(record);
+            let slot = sampler.slab.len() as SlotId;
             let (_, hints) = sampler.adj.insert_with_hints(edge, slot);
-            sampler.slab.get_mut(slot).hints = hints;
+            sampler.slab.push(EdgeRecord {
+                weight,
+                cov_tri,
+                cov_wedge,
+                hints,
+            });
             sampler.heap.push(HeapEntry { priority, slot });
             assert!(
                 sampler.slab.len() <= capacity,
@@ -410,9 +449,9 @@ impl<W: EdgeWeight> GpsSampler<W> {
         let priority = weight / u;
 
         if self.slab.len() < self.capacity {
-            let slot = self.slab.push(EdgeRecord::new(edge, weight, priority));
+            let slot = self.slab.len() as SlotId;
             let (_, hints) = self.adj.insert_with_hints(edge, slot);
-            self.slab.get_mut(slot).hints = hints;
+            self.slab.push(EdgeRecord::new(weight, hints));
             self.heap.push(HeapEntry { priority, slot });
             self.inserts += 1;
             return Arrival::Inserted { weight };
@@ -428,25 +467,21 @@ impl<W: EdgeWeight> GpsSampler<W> {
         }
         // The arriving edge takes over the evicted edge's slot. The
         // adjacency still gains the new edge before it loses the old one
-        // (both entries briefly carry the same slot; removal goes by edge).
+        // (both entries briefly carry the same slot; removal goes by edge,
+        // which the evicted record's hints name: its endpoints keep their
+        // slots while it is present).
         let slot = current_min.slot;
         let (_, hints) = self.adj.insert_with_hints(edge, slot);
         self.heap.replace_min(HeapEntry { priority, slot });
         self.z_star = self.z_star.max(current_min.priority);
-        let evicted_record = std::mem::replace(
-            self.slab.get_mut(slot),
-            EdgeRecord {
-                hints,
-                ..EdgeRecord::new(edge, weight, priority)
-            },
-        );
-        self.adj
-            .remove_hinted(evicted_record.edge, evicted_record.hints);
+        let evicted = std::mem::replace(self.slab.get_mut(slot), EdgeRecord::new(weight, hints));
+        let evicted_edge = edge_of(&self.adj, &evicted);
+        self.adj.remove_hinted(evicted_edge, evicted.hints);
         self.inserts += 1;
         self.evictions += 1;
         Arrival::Replaced {
             weight,
-            evicted: evicted_record.edge,
+            evicted: evicted_edge,
         }
     }
 
@@ -536,14 +571,36 @@ impl<W: EdgeWeight> GpsSampler<W> {
     }
 
     /// Iterates the sampled edges with their weights, priorities and current
-    /// inclusion probabilities.
+    /// inclusion probabilities, in slot order.
     pub fn edges(&self) -> impl Iterator<Item = SampledEdge> + '_ {
-        self.slab.records().iter().map(move |r| SampledEdge {
+        self.saved_records().map(move |r| SampledEdge {
             edge: r.edge,
             weight: r.weight,
             priority: r.priority,
             inclusion_prob: prob(r.weight, self.z_star),
         })
+    }
+
+    /// Every sampled edge's saved form, in slot order: its ids read from
+    /// its endpoints' adjacency slots, its priority from the heap (one pass
+    /// over the heap scatters the priorities by slot, so this allocates
+    /// `8 · len()` bytes).
+    pub(crate) fn saved_records(&self) -> impl Iterator<Item = SavedRecord> + '_ {
+        let mut priorities = vec![0.0; self.slab.len()];
+        for entry in self.heap.iter() {
+            priorities[entry.slot as usize] = entry.priority;
+        }
+        self.slab
+            .records()
+            .iter()
+            .zip(priorities)
+            .map(move |(r, priority)| SavedRecord {
+                edge: edge_of(&self.adj, r),
+                weight: r.weight,
+                priority,
+                cov_tri: r.cov_tri,
+                cov_wedge: r.cov_wedge,
+            })
     }
 
     /// Horvitz–Thompson estimator `Ŝ_J = ∏_{i∈J} 1/p(i)` of the subgraph

@@ -6,7 +6,8 @@
 //! lockstep with the `Arrival` outcomes of `GpsSampler::process` and, before
 //! every arrival, checks that the sampler's view answers the fused topology
 //! queries exactly as the mirror does. A divergence would change weights,
-//! and with them every priority after it.
+//! and with them every priority after it. After every arrival it checks
+//! that `GpsSampler::edges` lists exactly the mirror's edges, each once.
 
 use gps_core::weights::{EdgeWeight, TriadWeight, TriangleWeight, UniformWeight, WedgeWeight};
 use gps_core::{Arrival, GpsSampler, SampleView};
@@ -45,10 +46,13 @@ fn assert_weight_contract(view: &SampleView<'_>, e: Edge) {
 
 /// Streams `stream` through a sampler and its mirror, asserting equal
 /// topology answers and the weight contract before each arrival and equal
-/// edge sets at the end.
+/// edge sets after it.
 fn assert_mirrors<W: EdgeWeight>(stream: &[Edge], capacity: usize, weight_fn: W, seed: u64) {
     let mut sampler = GpsSampler::new(capacity, weight_fn, seed);
     let mut mirror: AdjacencyMap<()> = AdjacencyMap::new();
+    // The mirror's edges in the sampler's slot order: slots fill in
+    // arrival order, and an admitted edge takes its evictee's slot.
+    let mut by_slot: Vec<Edge> = Vec::with_capacity(capacity);
     for (i, &e) in stream.iter().enumerate() {
         let (u, v) = e.endpoints();
         let view = sampler.view();
@@ -64,7 +68,10 @@ fn assert_mirrors<W: EdgeWeight>(stream: &[Edge], capacity: usize, weight_fn: W,
         assert_weight_contract(&view, e);
         match sampler.process(e) {
             Arrival::Duplicate => assert!(mirror.contains(e), "duplicate of unsampled {e}"),
-            Arrival::Inserted { .. } => assert_eq!(mirror.insert(e, ()), None),
+            Arrival::Inserted { .. } => {
+                assert_eq!(mirror.insert(e, ()), None);
+                by_slot.push(e);
+            }
             Arrival::Replaced { evicted, .. } => {
                 assert_eq!(mirror.insert(e, ()), None);
                 assert_eq!(
@@ -72,17 +79,25 @@ fn assert_mirrors<W: EdgeWeight>(stream: &[Edge], capacity: usize, weight_fn: W,
                     Some(()),
                     "evicted unsampled {evicted}"
                 );
+                let slot = by_slot.iter().position(|&x| x == evicted).unwrap();
+                by_slot[slot] = e;
             }
             Arrival::Rejected { .. } => {}
         }
         assert_eq!(sampler.len(), mirror.num_edges());
+        // The sampler reads each sampled edge's ids back from its endpoint
+        // slots: the list must be the mirror's edges, each once, in slot
+        // order.
+        assert!(
+            sampler.edges().map(|s| s.edge).eq(by_slot.iter().copied()),
+            "reservoir and mirror hold different edges after arrival {i} ({e})"
+        );
     }
-    let mut sampled: Vec<Edge> = sampler.edges().map(|s| s.edge).collect();
     let mut mirrored: Vec<Edge> = mirror.edges().map(|(e, ())| e).collect();
-    sampled.sort_unstable();
     mirrored.sort_unstable();
+    by_slot.sort_unstable();
     assert_eq!(
-        sampled, mirrored,
+        by_slot, mirrored,
         "reservoir and mirror hold different edges"
     );
 }

@@ -190,12 +190,16 @@ pub enum BackendKind {
 
 /// Opaque endpoint-slot hints returned by
 /// [`CompactAdjacency::insert_with_hints`]. A node's dense slot index is
-/// stable for as long as the node has any incident edge, so the caller can
-/// store the hints alongside the edge and pass them back to
+/// stable for as long as the node has any incident edge, and the slot holds
+/// the node's id, so while the edge is present its hints name it: a caller
+/// can store the hints *instead of* the edge, read the edge back with
+/// [`CompactAdjacency::hinted_edge`], walk it with
+/// [`CompactAdjacency::for_each_hinted_completion`], and pass both to
 /// [`CompactAdjacency::remove_hinted`] to skip both node-table hash probes
-/// on eviction. Hints are verified before use and fall back to the normal
-/// lookup, so a stale hint can never corrupt the structure.
-/// [`EdgeHints::default`] (no hint) is always safe.
+/// on eviction. `remove_hinted` verifies the hints and falls back to the
+/// normal lookup, so a stale hint can never corrupt the structure.
+/// [`EdgeHints::default`] (no hint) is always safe there, and names no
+/// edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EdgeHints {
     /// Slot of the smaller endpoint, or `FREE_NONE` for "no hint".
@@ -361,8 +365,8 @@ impl<V: Copy> CompactAdjacency<V> {
         let u_idx = match self.lookup(u) {
             Some(u_idx) => {
                 let (lu, lu_sorted) = self.list_tagged(u_idx);
-                if Self::position(lu, lu_sorted, v).is_some() {
-                    let prev = self.update_entry_at(u_idx, v, value);
+                if let Some(pos) = Self::position(lu, lu_sorted, v) {
+                    let prev = std::mem::replace(&mut self.list_tagged_mut(u_idx).0[pos].1, value);
                     let (v_idx, _) = self.update_entry(v, u, value);
                     return (Some(prev), EdgeHints { u_idx, v_idx });
                 }
@@ -391,14 +395,42 @@ impl<V: Copy> CompactAdjacency<V> {
         let (u, v) = edge.endpoints();
         let u_idx = self.resolve_hint(u, hints.u_idx)?;
         let (lu, lu_sorted) = self.list_tagged(u_idx);
-        Self::position(lu, lu_sorted, v)?;
+        let u_pos = Self::position(lu, lu_sorted, v)?;
         let v_idx = self
             .resolve_hint(v, hints.v_idx)
             .expect("edge stored on one side only");
-        let value = self.detach_at(u_idx, u, v);
-        self.detach_at(v_idx, v, u);
+        let value = self.detach_at(u_idx, u, u_pos);
+        let (lv, lv_sorted) = self.list_tagged(v_idx);
+        let v_pos = Self::position(lv, lv_sorted, u).expect("neighbor missing from list");
+        self.detach_at(v_idx, v, v_pos);
         self.num_edges -= 1;
         Some(value)
+    }
+
+    /// The edge whose endpoint slots `hints` name, read from the two slots'
+    /// node ids without an index probe; `None` if either slot holds no
+    /// live node. For the hints [`CompactAdjacency::insert_with_hints`]
+    /// returned, this is the inserted edge for as long as it is present.
+    #[inline]
+    pub fn hinted_edge(&self, hints: EdgeHints) -> Option<Edge> {
+        self.hinted_ids(hints).map(|(u, v)| Edge::new(u, v))
+    }
+
+    /// Ids of the live nodes in the two slots `hints` name, in hint order;
+    /// `None` if either slot is dead or both name the same slot. (Two live
+    /// slots never hold the same id.)
+    #[inline]
+    fn hinted_ids(&self, hints: EdgeHints) -> Option<(NodeId, NodeId)> {
+        let live = |idx: u32| {
+            self.slots
+                .get(idx as usize)
+                .filter(|slot| slot.len() > 0)
+                .map(|slot| slot.id)
+        };
+        if hints.u_idx == hints.v_idx {
+            return None;
+        }
+        Some((live(hints.u_idx)?, live(hints.v_idx)?))
     }
 
     /// Maps a hinted slot index to a verified one (filter-gated lookup
@@ -548,21 +580,7 @@ impl<V: Copy> CompactAdjacency<V> {
         FW: FnMut(V),
     {
         match (self.lookup(u), self.lookup(v)) {
-            (Some(iu), Some(iv)) => {
-                let (lu, u_sorted) = self.list_tagged(iu);
-                let (lv, v_sorted) = self.list_tagged(iv);
-                Self::intersect_lists(lu, u_sorted, lv, v_sorted, &mut tri);
-                for &(n, val) in lu {
-                    if n != v {
-                        wedge(val);
-                    }
-                }
-                for &(n, val) in lv {
-                    if n != u {
-                        wedge(val);
-                    }
-                }
-            }
+            (Some(iu), Some(iv)) => self.completion_at(iu, iv, u, v, &mut tri, &mut wedge),
             // One endpoint absent: the edge (u, v) cannot be stored (it
             // would intern both endpoints), so no exclusion check is needed.
             (Some(i), None) | (None, Some(i)) => {
@@ -571,6 +589,51 @@ impl<V: Copy> CompactAdjacency<V> {
                 }
             }
             (None, None) => {}
+        }
+    }
+
+    /// [`CompactAdjacency::for_each_completion`] of the pair of nodes whose
+    /// slots `hints` name (the edge [`CompactAdjacency::hinted_edge`]
+    /// reads), started from those two slots, so it costs no index probe.
+    /// The walk and its order are the same as by node id. Does nothing if
+    /// the hints name no live pair.
+    #[inline]
+    pub fn for_each_hinted_completion<FT, FW>(&self, hints: EdgeHints, mut tri: FT, mut wedge: FW)
+    where
+        FT: FnMut(NodeId, V, V),
+        FW: FnMut(V),
+    {
+        if let Some((u, v)) = self.hinted_ids(hints) {
+            self.completion_at(hints.u_idx, hints.v_idx, u, v, &mut tri, &mut wedge);
+        }
+    }
+
+    /// The completion walk of the nodes `u` and `v` in slots `iu` and `iv`.
+    #[inline]
+    fn completion_at<FT, FW>(
+        &self,
+        iu: u32,
+        iv: u32,
+        u: NodeId,
+        v: NodeId,
+        tri: &mut FT,
+        wedge: &mut FW,
+    ) where
+        FT: FnMut(NodeId, V, V),
+        FW: FnMut(V),
+    {
+        let (lu, u_sorted) = self.list_tagged(iu);
+        let (lv, v_sorted) = self.list_tagged(iv);
+        Self::intersect_lists(lu, u_sorted, lv, v_sorted, tri);
+        for &(n, val) in lu {
+            if n != v {
+                wedge(val);
+            }
+        }
+        for &(n, val) in lv {
+            if n != u {
+                wedge(val);
+            }
         }
     }
 
@@ -857,16 +920,10 @@ impl<V: Copy> CompactAdjacency<V> {
         let idx = self
             .probe_valid(node)
             .unwrap_or_else(|| unreachable!("node {node} missing from the index"));
-        (idx, self.update_entry_at(idx, nbr, value))
-    }
-
-    /// Rewrites the stored value on the `nbr` entry of the list in slot
-    /// `idx`; returns the previous value.
-    fn update_entry_at(&mut self, idx: u32, nbr: NodeId, value: V) -> V {
         let (list, sorted) = self.list_tagged_mut(idx);
         let pos = Self::position(list, sorted, nbr)
             .unwrap_or_else(|| unreachable!("neighbor lists out of sync at slot {idx}->{nbr}"));
-        std::mem::replace(&mut list[pos].1, value)
+        (idx, std::mem::replace(&mut list[pos].1, value))
     }
 
     /// Interns `node`, creating a slot if needed. `fill` initializes fresh
@@ -965,12 +1022,12 @@ impl<V: Copy> CompactAdjacency<V> {
         self.pool[offset + pos] = entry;
     }
 
-    /// Removes `nbr` from the neighbor list of the node in slot `idx`, then
-    /// moves the list to a class-0 block or back inline, or frees the node,
-    /// if warranted. Returns the value that was stored on the removed entry.
-    fn detach_at(&mut self, idx: u32, node: NodeId, nbr: NodeId) -> V {
+    /// Removes entry `pos` from the neighbor list of `node` (in slot `idx`),
+    /// then moves the list to a class-0 block or back inline, or frees the
+    /// node, if warranted. Returns the value that was stored on the removed
+    /// entry.
+    fn detach_at(&mut self, idx: u32, node: NodeId, pos: usize) -> V {
         let (list, sorted) = self.list_tagged_mut(idx);
-        let pos = Self::position(list, sorted, nbr).expect("neighbor missing from list");
         let value = list[pos].1;
         if sorted {
             // Ordered removal (shift, not swap) keeps the block sorted.

@@ -300,6 +300,54 @@ proptest! {
         }
         assert_equivalent(&compact, &oracle, 10);
     }
+
+    #[test]
+    fn hints_name_every_present_edge(ops in arb_ops(10, 400)) {
+        // A sampler keeps only the hints of a sampled edge: after every
+        // edit, each present edge's latest hints must read back as that
+        // edge, and the completion walk started from them must be the walk
+        // by node id, in the same order (estimates sum in walk order).
+        let mut compact: CompactAdjacency<u32> = CompactAdjacency::new();
+        let mut hints: HashMap<Edge, EdgeHints> = HashMap::new();
+        for &op in &ops {
+            match op {
+                Op::Insert(e, v) => {
+                    hints.insert(e, compact.insert_with_hints(e, v).1);
+                }
+                Op::Remove(e) => {
+                    let h = hints.remove(&e).unwrap_or_default();
+                    compact.remove_hinted(e, h);
+                }
+                Op::Set(e, v) => {
+                    compact.set(e, v);
+                }
+            }
+            prop_assert_eq!(hints.len(), compact.num_edges());
+            for (&e, &h) in &hints {
+                prop_assert_eq!(compact.hinted_edge(h), Some(e));
+                let (mut by_id, mut by_hint) = ((vec![], vec![]), (vec![], vec![]));
+                compact.for_each_completion(
+                    e.u(),
+                    e.v(),
+                    |w, a, b| by_id.0.push((w, a, b)),
+                    |x| by_id.1.push(x),
+                );
+                compact.for_each_hinted_completion(
+                    h,
+                    |w, a, b| by_hint.0.push((w, a, b)),
+                    |x| by_hint.1.push(x),
+                );
+                prop_assert_eq!(by_hint, by_id, "walk of {}", e);
+            }
+        }
+        // "No hint" names no edge and walks nothing.
+        prop_assert_eq!(compact.hinted_edge(EdgeHints::NONE), None);
+        compact.for_each_hinted_completion(
+            EdgeHints::NONE,
+            |_, _, _| panic!("walked a triangle from no hint"),
+            |_| panic!("walked a wedge from no hint"),
+        );
+    }
 }
 
 /// Nodes in the filter-growth property's universe. A grow phase of at
