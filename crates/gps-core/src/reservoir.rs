@@ -582,20 +582,35 @@ impl<W: EdgeWeight> GpsSampler<W> {
     }
 
     /// Every sampled edge's saved form, in slot order: its ids read from
-    /// its endpoints' adjacency slots, its priority from the heap (one pass
-    /// over the heap scatters the priorities by slot, so this allocates
-    /// `8 · len()` bytes).
+    /// its endpoints' adjacency slots, its priority from the heap. Both are
+    /// collected by slot up front, so this allocates `16 · len()` bytes.
+    ///
+    /// The ids are gathered in a loop of their own because the two slot
+    /// reads per edge mostly miss the cache: alone in a loop, the misses of
+    /// many edges overlap, while a caller doing real work per record (the
+    /// persist writer formats four to six floats) would wait out each one.
+    /// On a 2-vCPU VM, reading the ids per record added about 8 ms to a
+    /// 35 ms v2 save of a 100k-edge sample; gathered, a pass over the
+    /// sample's saved records costs about 1.2 ms, against 0.25 ms when the
+    /// 48-byte records held ids and priorities.
     pub(crate) fn saved_records(&self) -> impl Iterator<Item = SavedRecord> + '_ {
         let mut priorities = vec![0.0; self.slab.len()];
         for entry in self.heap.iter() {
             priorities[entry.slot as usize] = entry.priority;
         }
+        let edges: Vec<Edge> = self
+            .slab
+            .records()
+            .iter()
+            .map(|r| edge_of(&self.adj, r))
+            .collect();
         self.slab
             .records()
             .iter()
             .zip(priorities)
-            .map(move |(r, priority)| SavedRecord {
-                edge: edge_of(&self.adj, r),
+            .zip(edges)
+            .map(|((r, priority), edge)| SavedRecord {
+                edge,
                 weight: r.weight,
                 priority,
                 cov_tri: r.cov_tri,

@@ -417,8 +417,7 @@ impl<V: Copy> CompactAdjacency<V> {
     }
 
     /// Ids of the live nodes in the two slots `hints` name, in hint order;
-    /// `None` if either slot is dead or both name the same slot. (Two live
-    /// slots never hold the same id.)
+    /// `None` if either slot is dead.
     #[inline]
     fn hinted_ids(&self, hints: EdgeHints) -> Option<(NodeId, NodeId)> {
         let live = |idx: u32| {
@@ -427,9 +426,6 @@ impl<V: Copy> CompactAdjacency<V> {
                 .filter(|slot| slot.len() > 0)
                 .map(|slot| slot.id)
         };
-        if hints.u_idx == hints.v_idx {
-            return None;
-        }
         Some((live(hints.u_idx)?, live(hints.v_idx)?))
     }
 
