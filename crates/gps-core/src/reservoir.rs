@@ -590,9 +590,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
     /// many edges overlap, while a caller doing real work per record (the
     /// persist writer formats four to six floats) would wait out each one.
     /// On a 2-vCPU VM, reading the ids per record added about 8 ms to a
-    /// 35 ms v2 save of a 100k-edge sample; gathered, a pass over the
-    /// sample's saved records costs about 1.2 ms, against 0.25 ms when the
-    /// 48-byte records held ids and priorities.
+    /// 35 ms v2 save of a 100k-edge sample; gathered, they add about 2 ms.
     pub(crate) fn saved_records(&self) -> impl Iterator<Item = SavedRecord> + '_ {
         let mut priorities = vec![0.0; self.slab.len()];
         for entry in self.heap.iter() {
