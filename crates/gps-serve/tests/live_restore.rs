@@ -4,8 +4,9 @@
 //! samples instead of restarting at zero.
 
 use gps_core::weights::TriangleWeight;
+use gps_core::TriadEstimates;
 use gps_engine::snapshot::load_engine;
-use gps_engine::EngineConfig;
+use gps_engine::{EngineConfig, ShardedGps};
 use gps_graph::types::Edge;
 use gps_serve::{EstimateEpoch, ServeEngine};
 
@@ -187,4 +188,69 @@ fn resumed_engine_runs_on_the_callers_config() {
         checkpoints(&resumed) > 0,
         "checkpoint_every must reach the resumed engine"
     );
+}
+
+fn bits(e: &TriadEstimates) -> [u64; 7] {
+    [
+        e.triangles.value.to_bits(),
+        e.triangles.variance.to_bits(),
+        e.wedges.value.to_bits(),
+        e.wedges.variance.to_bits(),
+        e.tri_wedge_cov.to_bits(),
+        e.clustering.value.to_bits(),
+        e.clustering.variance.to_bits(),
+    ]
+}
+
+#[test]
+fn plain_v1_snapshot_resumes_from_post_stream_seeding() {
+    // A plain engine saves `gps-sample v1` sections: samples without
+    // in-stream accumulators. Resuming one onto a serving handle re-seeds
+    // each shard's estimator from its post-stream estimate, so with no new
+    // arrivals the in-stream and post-stream views coincide. Capacity 60
+    // under 180 arrivals: the reservoirs fill and evict, so the seeds carry
+    // real inclusion probabilities.
+    let (capacity, shards, seed) = (60, 3, 9);
+    let mut plain = ShardedGps::new(capacity, TriangleWeight::default(), seed, shards);
+    plain.push_stream(triangle_stream(0, 60));
+    let mut buf = Vec::new();
+    plain.save(&mut buf).unwrap();
+    assert!(String::from_utf8_lossy(&buf).contains("gps-sample v1"));
+    let post_stream = plain.estimate();
+    let sampled: usize = plain.samplers().iter().map(|s| s.len()).sum();
+    assert_eq!(sampled, capacity, "every reservoir is full");
+
+    let mut serve = ServeEngine::new(capacity, TriangleWeight::default(), seed, shards);
+    let handle = serve.handle();
+    serve.finish();
+    let before = handle.latest().map_or(0, |e| e.version);
+
+    let saved = load_engine(buf.as_slice()).unwrap();
+    let mut resumed = ServeEngine::resume(
+        saved,
+        TriangleWeight::default(),
+        EngineConfig::new(capacity, shards, seed),
+        &handle,
+    );
+    let sub = handle.subscribe().expect("board reopened");
+    let in_stream = resumed.estimate_in_stream();
+    let again = resumed.estimate();
+    let first = sub
+        .into_iter()
+        .find(|e| e.version > before)
+        .expect("the resumed engine publishes");
+    assert_eq!(first.edges_seen, plain.pushed());
+    assert!(!first.degraded());
+
+    assert_eq!(bits(&first.estimates), bits(&in_stream));
+    assert_eq!(bits(&in_stream), bits(&again));
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + a.abs().max(b.abs()));
+    assert!(post_stream.triangles.value > 0.0);
+    assert!(close(post_stream.triangles.value, again.triangles.value));
+    assert!(close(
+        post_stream.triangles.variance,
+        again.triangles.variance
+    ));
+    assert!(close(post_stream.wedges.value, again.wedges.value));
+    assert!(close(post_stream.tri_wedge_cov, again.tri_wedge_cov));
 }
