@@ -15,12 +15,6 @@ pub enum GraphError {
         /// The offending line content (truncated).
         content: String,
     },
-    /// An edge references itself (`u == v`); the graph model excludes
-    /// self-loops.
-    SelfLoop {
-        /// The node forming the loop.
-        node: u64,
-    },
     /// A node identifier exceeded the dense `u32` node-id space.
     NodeSpaceExhausted,
 }
@@ -32,7 +26,6 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, content } => {
                 write!(f, "cannot parse edge-list line {line}: {content:?}")
             }
-            GraphError::SelfLoop { node } => write!(f, "self-loop at node {node}"),
             GraphError::NodeSpaceExhausted => {
                 write!(f, "more than u32::MAX distinct nodes in input")
             }
@@ -66,8 +59,6 @@ mod tests {
             content: "a b c".into(),
         };
         assert!(format!("{e}").contains("line 3"));
-        let e = GraphError::SelfLoop { node: 9 };
-        assert!(format!("{e}").contains("node 9"));
         let e = GraphError::from(io::Error::new(io::ErrorKind::NotFound, "nope"));
         assert!(format!("{e}").contains("nope"));
     }

@@ -2,17 +2,19 @@
 //!
 //! Real-world corpora (e.g. networkrepository.com, SNAP) ship as white-space
 //! separated edge lists with assorted comment conventions and sparse node
-//! ids. [`read_edge_list`] handles those: it skips `#`/`%` comment lines,
-//! accepts extra columns (weights/timestamps are ignored), relabels arbitrary
-//! `u64` ids onto the dense `u32` space via [`NodeRelabeler`], and — matching
-//! the paper's preprocessing — *simplifies* the graph (undirected, duplicate
-//! edges and self-loops dropped).
+//! ids. [`EdgeFileStream`] is the one parser for them: it reads lazily, one
+//! line at a time, skips `#`/`%` comment lines, accepts extra columns
+//! (weights/timestamps are ignored), drops self-loops and relabels arbitrary
+//! `u64` ids onto the dense `u32` space via [`NodeRelabeler`].
+//! [`read_edge_list`] collects that stream into memory and — matching the
+//! paper's preprocessing — drops duplicate edges on the way, so the result
+//! is a simple undirected graph.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::GraphError;
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::types::{Edge, NodeId};
 
 /// Maps sparse external `u64` node identifiers onto dense internal [`NodeId`]s.
@@ -53,84 +55,99 @@ impl NodeRelabeler {
     }
 }
 
-/// Options controlling edge-list parsing.
-#[derive(Clone, Copy, Debug)]
-pub struct ReadOptions {
-    /// Drop duplicate edges (in either orientation). Default `true`.
-    pub dedupe: bool,
-    /// Silently skip self-loops instead of failing. Default `true`
-    /// (the paper considers simplified graphs without self loops).
-    pub skip_self_loops: bool,
+/// Lazy single-pass reader over a white-space separated edge list.
+///
+/// Yields `Result<Edge, GraphError>` per data line, reusing one line
+/// buffer, so sampling an edge list far larger than memory needs memory
+/// only for the reservoir and the node relabeling table. Lines starting
+/// with `#` or `%` and blank lines are skipped; each data line must begin
+/// with two integer fields, and further fields are ignored. Self-loops are
+/// dropped (the paper's graphs have none) and ids are relabeled densely in
+/// first-seen order. A malformed line yields [`GraphError::Parse`] with its
+/// 1-based line number, and the stream goes on after it.
+///
+/// Duplicates are *not* dropped here: that would mean remembering every
+/// past edge. The GPS sampler already skips duplicates of currently
+/// sampled edges; [`read_edge_list`] drops them all.
+pub struct EdgeFileStream<R: Read> {
+    reader: BufReader<R>,
+    relabeler: NodeRelabeler,
+    line: String,
+    lineno: usize,
 }
 
-impl Default for ReadOptions {
-    fn default() -> Self {
-        ReadOptions {
-            dedupe: true,
-            skip_self_loops: true,
-        }
+impl EdgeFileStream<std::fs::File> {
+    /// Opens a file for streaming.
+    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, GraphError> {
+        Ok(Self::new(std::fs::File::open(path)?))
     }
 }
 
-/// Reads a white-space separated edge list from `reader`.
-///
-/// Lines starting with `#` or `%` and blank lines are skipped. Each data
-/// line must begin with two integer fields; further fields are ignored.
-pub fn read_edge_list<R: Read>(reader: R, opts: ReadOptions) -> Result<Vec<Edge>, GraphError> {
-    let mut reader = BufReader::new(reader);
-    let mut relabel = NodeRelabeler::new();
-    let mut edges = Vec::new();
-    let mut seen = crate::hash::FxHashSet::default();
-    let mut line = String::new();
-    let mut lineno = 0usize;
+impl<R: Read> EdgeFileStream<R> {
+    /// Wraps any reader (files, sockets, pipes, compressed readers, …).
+    pub fn new(reader: R) -> Self {
+        EdgeFileStream {
+            reader: BufReader::new(reader),
+            relabeler: NodeRelabeler::new(),
+            line: String::new(),
+            lineno: 0,
+        }
+    }
 
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        lineno += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut fields = trimmed.split_whitespace();
-        let parse_err = || GraphError::Parse {
-            line: lineno,
-            content: trimmed.chars().take(80).collect(),
-        };
-        let a: u64 = fields
-            .next()
-            .ok_or_else(parse_err)?
-            .parse()
-            .map_err(|_| parse_err())?;
-        let b: u64 = fields
-            .next()
-            .ok_or_else(parse_err)?
-            .parse()
-            .map_err(|_| parse_err())?;
-        if a == b {
-            if opts.skip_self_loops {
+    fn relabeled(&mut self, a: u64, b: u64) -> Result<Edge, GraphError> {
+        Ok(Edge::new(
+            self.relabeler.relabel(a)?,
+            self.relabeler.relabel(b)?,
+        ))
+    }
+}
+
+impl<R: Read> Iterator for EdgeFileStream<R> {
+    type Item = Result<Edge, GraphError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            self.line.clear();
+            match self.reader.read_line(&mut self.line) {
+                Err(e) => return Some(Err(GraphError::Io(e))),
+                Ok(0) => return None,
+                Ok(_) => {}
+            }
+            self.lineno += 1;
+            let trimmed = self.line.trim();
+            if trimmed.is_empty() || trimmed.starts_with(['#', '%']) {
                 continue;
             }
-            return Err(GraphError::SelfLoop { node: a });
+            let mut fields = trimmed.split_whitespace().map(str::parse::<u64>);
+            let (Some(Ok(a)), Some(Ok(b))) = (fields.next(), fields.next()) else {
+                return Some(Err(GraphError::Parse {
+                    line: self.lineno,
+                    content: trimmed.chars().take(80).collect(),
+                }));
+            };
+            if a != b {
+                return Some(self.relabeled(a, b));
+            }
         }
-        let edge = Edge::new(relabel.relabel(a)?, relabel.relabel(b)?);
-        if opts.dedupe && !seen.insert(edge.key()) {
-            continue;
-        }
-        edges.push(edge);
     }
-    Ok(edges)
+}
+
+/// Reads a whole edge list from `reader` into memory: the edges of an
+/// [`EdgeFileStream`] in stream order, each duplicate (in either
+/// orientation) dropped as it is read. Stops at the first error.
+pub fn read_edge_list<R: Read>(reader: R) -> Result<Vec<Edge>, GraphError> {
+    let mut seen = FxHashSet::default();
+    EdgeFileStream::new(reader)
+        .filter(|item| match item {
+            Ok(edge) => seen.insert(edge.key()),
+            Err(_) => true,
+        })
+        .collect()
 }
 
 /// Reads an edge list from a file path. See [`read_edge_list`].
-pub fn read_edge_list_file<P: AsRef<Path>>(
-    path: P,
-    opts: ReadOptions,
-) -> Result<Vec<Edge>, GraphError> {
-    let file = std::fs::File::open(path)?;
-    read_edge_list(file, opts)
+pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<Vec<Edge>, GraphError> {
+    read_edge_list(std::fs::File::open(path)?)
 }
 
 /// Writes edges as `u v` lines (buffered; one syscall per ~8 KiB).
@@ -153,7 +170,7 @@ pub fn write_edge_list_file<P: AsRef<Path>>(path: P, edges: &[Edge]) -> Result<(
 /// preserving first-occurrence order. Self-loops cannot be represented by
 /// [`Edge`], so the result is a simple graph edge list.
 pub fn simplify(edges: &[Edge]) -> Vec<Edge> {
-    let mut seen = crate::hash::FxHashSet::default();
+    let mut seen = FxHashSet::default();
     edges
         .iter()
         .copied()
@@ -168,7 +185,7 @@ mod tests {
     #[test]
     fn parses_comments_blank_lines_and_extra_columns() {
         let input = "# a comment\n% another\n\n1 2\n2 3 17.5\n3 1 42 1999\n";
-        let edges = read_edge_list(input.as_bytes(), ReadOptions::default()).unwrap();
+        let edges = read_edge_list(input.as_bytes()).unwrap();
         assert_eq!(edges.len(), 3);
         // Relabeling is first-seen order: 1→0, 2→1, 3→2.
         assert_eq!(edges[0], Edge::new(0, 1));
@@ -179,40 +196,27 @@ mod tests {
     #[test]
     fn dedupes_both_orientations() {
         let input = "5 9\n9 5\n5 9\n5 6\n";
-        let edges = read_edge_list(input.as_bytes(), ReadOptions::default()).unwrap();
+        let edges = read_edge_list(input.as_bytes()).unwrap();
         assert_eq!(edges.len(), 2);
     }
 
     #[test]
-    fn keeps_duplicates_when_asked() {
-        let input = "5 9\n9 5\n";
-        let opts = ReadOptions {
-            dedupe: false,
-            ..Default::default()
-        };
-        let edges = read_edge_list(input.as_bytes(), opts).unwrap();
-        assert_eq!(edges.len(), 2);
-        assert_eq!(edges[0], edges[1]);
-    }
-
-    #[test]
-    fn self_loops_skipped_or_rejected() {
+    fn self_loops_are_dropped_silently() {
         let input = "1 1\n1 2\n";
-        let edges = read_edge_list(input.as_bytes(), ReadOptions::default()).unwrap();
+        let edges = read_edge_list(input.as_bytes()).unwrap();
         assert_eq!(edges.len(), 1);
 
-        let opts = ReadOptions {
-            skip_self_loops: false,
-            ..Default::default()
-        };
-        let err = read_edge_list(input.as_bytes(), opts).unwrap_err();
-        assert!(matches!(err, GraphError::SelfLoop { node: 1 }));
+        let input = "5 5\n5 6\n";
+        let edges: Vec<Edge> = EdgeFileStream::new(input.as_bytes())
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(edges.len(), 1);
     }
 
     #[test]
     fn malformed_lines_report_line_numbers() {
         let input = "1 2\nnot numbers\n";
-        let err = read_edge_list(input.as_bytes(), ReadOptions::default()).unwrap_err();
+        let err = read_edge_list(input.as_bytes()).unwrap_err();
         match err {
             GraphError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
@@ -224,7 +228,7 @@ mod tests {
         let edges = vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 3)];
         let mut buf = Vec::new();
         write_edge_list(&mut buf, &edges).unwrap();
-        let back = read_edge_list(buf.as_slice(), ReadOptions::default()).unwrap();
+        let back = read_edge_list(buf.as_slice()).unwrap();
         assert_eq!(back, edges);
     }
 
@@ -250,5 +254,47 @@ mod tests {
             simplify(&edges),
             vec![Edge::new(3, 4), Edge::new(1, 2), Edge::new(2, 5)]
         );
+    }
+
+    #[test]
+    fn streams_edges_lazily_with_relabeling() {
+        let input = "# header\n100 200\n200 300\n\n% note\n100 300 7.5\n";
+        let edges: Vec<Edge> = EdgeFileStream::new(input.as_bytes())
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(
+            edges,
+            vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 2)]
+        );
+    }
+
+    #[test]
+    fn parse_errors_carry_line_numbers() {
+        let input = "1 2\nbad line\n3 4\n";
+        let mut stream = EdgeFileStream::new(input.as_bytes());
+        assert!(stream.next().unwrap().is_ok());
+        match stream.next().unwrap() {
+            Err(GraphError::Parse { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        // The stream recovers and continues after an error.
+        assert!(stream.next().unwrap().is_ok());
+        assert!(stream.next().is_none());
+    }
+
+    #[test]
+    fn streams_every_line_of_a_long_list() {
+        use std::fmt::Write as _;
+        // A 300-edge path written as text with sparse ids.
+        let mut text = String::new();
+        for i in 0..300u32 {
+            writeln!(text, "{} {}", i * 7 + 1, (i + 1) * 7 + 1).unwrap();
+        }
+        let mut edges = 0u32;
+        for r in EdgeFileStream::new(text.as_bytes()) {
+            r.unwrap();
+            edges += 1;
+        }
+        assert_eq!(edges, 300);
     }
 }

@@ -22,8 +22,10 @@
 //! - [`incremental`]: an exact counter maintained edge-by-edge, used as the
 //!   time-series ground truth for the paper's "estimates vs. time" plots.
 //! - [`degrees`]: degree summaries of edge populations.
-//! - [`io`]: white-space edge-list reading/writing with node relabeling and
-//!   graph simplification (the paper uses undirected, simplified graphs).
+//! - [`io`]: white-space edge lists: the lazy [`io::EdgeFileStream`] (the
+//!   one parser, with node relabeling), the eager [`io::read_edge_list`]
+//!   that also drops duplicates (the paper uses undirected, simplified
+//!   graphs), and the writer.
 //!
 //! The crate has no dependencies and makes no assumptions about where edges
 //! come from; streaming abstractions live in `gps-stream`.

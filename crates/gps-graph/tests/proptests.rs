@@ -133,7 +133,7 @@ proptest! {
     fn edge_list_io_round_trips(edges in arb_edges(64, 200)) {
         let mut buf = Vec::new();
         io::write_edge_list(&mut buf, &edges).unwrap();
-        let back = io::read_edge_list(buf.as_slice(), io::ReadOptions::default()).unwrap();
+        let back = io::read_edge_list(buf.as_slice()).unwrap();
         // Node ids are relabeled in first-seen order; the *shape* must be
         // identical: same edge count and same exact triangle count.
         prop_assert_eq!(back.len(), edges.len());

@@ -13,19 +13,20 @@
 //!   DESIGN.md §5 for the substitution argument.
 //! - [`corpus`]: named stand-ins for the specific graphs used in the paper's
 //!   tables and figures, at configurable scale.
-//! - [`file_stream`]: lazy single-pass edge streaming from disk, for graphs
-//!   that do not fit in memory (the streaming model's raison d'être).
+//! - [`EdgeFileStream`]: lazy single-pass edge streaming from disk, for
+//!   graphs that do not fit in memory (the streaming model's raison d'être);
+//!   re-exported from `gps_graph::io`, which holds the workspace's one
+//!   edge-list parser.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod corpus;
-pub mod file_stream;
 pub mod gen;
 pub mod permute;
 pub mod stream;
 
 pub use corpus::{Workload, WorkloadSpec};
-pub use file_stream::EdgeFileStream;
+pub use gps_graph::io::EdgeFileStream;
 pub use permute::permuted;
 pub use stream::{batched, Batched, Checkpoints};

@@ -29,8 +29,7 @@ fn main() {
 
     // Load + simplify (relabels sparse ids onto dense u32s).
     let t0 = Instant::now();
-    let edges = gps_graph::io::read_edge_list_file(&path, gps_graph::io::ReadOptions::default())
-        .expect("read edge list");
+    let edges = gps_graph::io::read_edge_list_file(&path).expect("read edge list");
     println!("loaded {} edges in {:.2?}", edges.len(), t0.elapsed());
 
     // One GPS pass over a random permutation.

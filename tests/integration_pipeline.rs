@@ -107,8 +107,7 @@ fn edge_list_io_round_trips_through_files() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("edges.txt");
     gps_graph::io::write_edge_list_file(&path, &edges).unwrap();
-    let back =
-        gps_graph::io::read_edge_list_file(&path, gps_graph::io::ReadOptions::default()).unwrap();
+    let back = gps_graph::io::read_edge_list_file(&path).unwrap();
     assert_eq!(back.len(), edges.len());
     // Identical graph shape after relabeling.
     let a = CsrGraph::from_edges(&edges);
