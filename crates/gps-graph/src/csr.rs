@@ -137,11 +137,6 @@ impl CsrGraph {
                 .map(move |v| Edge::new(u, v))
         })
     }
-
-    /// Collects all edges into a vector (normalized, ascending).
-    pub fn edge_vec(&self) -> Vec<Edge> {
-        self.edges().collect()
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +192,7 @@ mod tests {
         let g = CsrGraph::from_edges(&input);
         let mut expect = input.clone();
         expect.sort();
-        assert_eq!(g.edge_vec(), expect);
+        assert_eq!(g.edges().collect::<Vec<_>>(), expect);
     }
 
     #[test]

@@ -63,15 +63,6 @@ impl DegreeStats {
     }
 }
 
-/// Degree histogram as `(degree, node_count)` pairs, ascending by degree.
-pub fn degree_histogram(g: &CsrGraph) -> Vec<(usize, usize)> {
-    let mut counts = std::collections::BTreeMap::new();
-    for v in 0..g.num_nodes() {
-        *counts.entry(g.degree(v as u32)).or_insert(0usize) += 1;
-    }
-    counts.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,12 +90,6 @@ mod tests {
         let s = DegreeStats::of(&CsrGraph::from_edges(&[]));
         assert_eq!(s.nodes, 0);
         assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn histogram_of_path() {
-        let g = CsrGraph::from_edges(&[Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 3)]);
-        assert_eq!(degree_histogram(&g), vec![(1, 2), (2, 2)]);
     }
 
     #[test]

@@ -87,18 +87,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Convenience constructor for an [`FxHashMap`] with capacity.
-#[inline]
-pub fn fx_hash_map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default())
-}
-
-/// Convenience constructor for an empty [`FxHashSet`].
-#[inline]
-pub fn fx_hash_set<T>() -> FxHashSet<T> {
-    FxHashSet::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,21 +114,6 @@ mod tests {
     fn distinguishes_byte_slices_of_different_length() {
         assert_ne!(hash_one([1u8, 0u8].as_slice()), hash_one([1u8].as_slice()));
         assert_ne!(hash_one([0u8; 7].as_slice()), hash_one([0u8; 8].as_slice()));
-    }
-
-    #[test]
-    fn map_and_set_round_trip() {
-        let mut map = fx_hash_map_with_capacity::<u64, u32>(8);
-        for i in 0..100u64 {
-            map.insert(i, (i * 2) as u32);
-        }
-        assert_eq!(map.len(), 100);
-        assert_eq!(map[&7], 14);
-
-        let mut set = fx_hash_set::<u32>();
-        set.insert(3);
-        assert!(set.contains(&3));
-        assert!(!set.contains(&4));
     }
 
     #[test]

@@ -136,38 +136,6 @@ impl<I: Iterator<Item = Edge>> Iterator for Batched<I> {
     }
 }
 
-/// Counts edges and distinct nodes flowing through a stream, without
-/// buffering it. Wrap any edge iterator to get stream-side statistics.
-#[derive(Debug, Default)]
-pub struct StreamMeter {
-    edges: usize,
-    nodes: gps_graph::FxHashSet<gps_graph::NodeId>,
-}
-
-impl StreamMeter {
-    /// New, empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observes one edge.
-    pub fn observe(&mut self, e: Edge) {
-        self.edges += 1;
-        self.nodes.insert(e.u());
-        self.nodes.insert(e.v());
-    }
-
-    /// Edges observed so far.
-    pub fn edges(&self) -> usize {
-        self.edges
-    }
-
-    /// Distinct nodes observed so far.
-    pub fn nodes(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,15 +200,5 @@ mod tests {
     #[should_panic(expected = "batch size must be positive")]
     fn batched_rejects_zero_size() {
         let _ = batched(Vec::<Edge>::new(), 0);
-    }
-
-    #[test]
-    fn meter_counts_nodes_and_edges() {
-        let mut m = StreamMeter::new();
-        m.observe(Edge::new(0, 1));
-        m.observe(Edge::new(1, 2));
-        m.observe(Edge::new(0, 2));
-        assert_eq!(m.edges(), 3);
-        assert_eq!(m.nodes(), 3);
     }
 }
