@@ -218,12 +218,7 @@ impl<W: EdgeWeight> ShardRunner<W> {
             ..
         } = &self.inner
         {
-            hook(ShardReport {
-                shard: *shard,
-                arrivals: est.sampler().arrivals(),
-                batch_arrivals: 0,
-                estimates: est.estimates(),
-            });
+            hook(shard_report(*shard, est, est.sampler().arrivals()));
         }
     }
 
@@ -250,12 +245,7 @@ impl<W: EdgeWeight> ShardRunner<W> {
         while *next <= arrivals {
             *next += *every;
         }
-        let report = ShardReport {
-            shard: *shard,
-            arrivals,
-            batch_arrivals: arrivals - *last_report,
-            estimates: est.estimates(),
-        };
+        let report = shard_report(*shard, est, *last_report);
         *last_report = arrivals;
         if let Some(hook) = hook {
             hook(report);
@@ -277,18 +267,29 @@ impl<W: EdgeWeight> ShardRunner<W> {
                 ..
             } => {
                 if let Some(hook) = hook {
-                    let arrivals = est.sampler().arrivals();
-                    hook(ShardReport {
-                        shard,
-                        arrivals,
-                        batch_arrivals: arrivals - last_report,
-                        estimates: est.estimates(),
-                    });
+                    hook(shard_report(shard, &est, last_report));
                 }
                 let (sampler, totals) = est.into_parts();
                 (sampler, Some(totals))
             }
         }
+    }
+}
+
+/// The report of estimating `shard` at `est`'s current position, with
+/// `last_report` the watermark of its previous report (the current
+/// watermark itself for the zero-size batch of a start-of-worker report).
+fn shard_report<W: EdgeWeight>(
+    shard: usize,
+    est: &InStreamEstimator<W>,
+    last_report: u64,
+) -> ShardReport {
+    let arrivals = est.sampler().arrivals();
+    ShardReport {
+        shard,
+        arrivals,
+        batch_arrivals: arrivals - last_report,
+        estimates: est.estimates(),
     }
 }
 
