@@ -36,13 +36,15 @@ pub struct EstimateEpoch {
     pub edges_seen: u64,
     /// Shard count `S` of the producing engine.
     pub shards: u64,
-    /// Bitmask of the shards whose reports this epoch merges (bit `i` set
-    /// ⇔ shard `i` contributed; shards beyond index 63 are not
-    /// individually tracked — the engine's worker-thread counts are far
-    /// below that). A **full** epoch has every shard's bit set; a
-    /// **degraded** one (published past the gate deadline while some shard
-    /// was stalled or recovering) merges only the reporting shards, with
-    /// the missing strata's loss reflected in the widened variances of
+    /// Bitmask of the shards whose reports this epoch merges: bit
+    /// `min(i, 63)` is set when shard `i` contributed. Up to 64 shards each
+    /// bit names one shard. From 65 shards on (`gps-sim` runs S = 256),
+    /// shards 63 to S − 1 share bit 63, which any one of them sets, so a
+    /// silent shard ≥ 63 does not show here while another shard ≥ 63
+    /// reports (ROADMAP item C). A **full** epoch has every shard's bit
+    /// set; a **degraded** one (published past the gate deadline while some
+    /// shard was stalled or recovering) merges only the reporting shards,
+    /// with the missing strata's loss reflected in the widened variances of
     /// [`TriadEstimates::merged_colored_partial`].
     pub contributing: u64,
     /// Total arrivals the producing engine has lost to crash-recovery
@@ -65,6 +67,11 @@ impl EstimateEpoch {
     /// past the gate deadline from the reporting shards only. Watermark and
     /// estimates cover the reporting substreams; the variances already
     /// carry the partial-merge widening, so intervals stay honest.
+    ///
+    /// Reads the mask: true when fewer than `min(S, 64)` bits are set.
+    /// Exact up to 64 shards. From 65 shards on, a silent shard ≥ 63 leaves
+    /// this `false` while another shard ≥ 63 reports, because they share
+    /// bit 63 of [`contributing`](Self::contributing) (ROADMAP item C).
     pub fn degraded(&self) -> bool {
         u64::from(self.contributing_count()) != self.shards.min(64)
     }

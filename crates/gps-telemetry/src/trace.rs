@@ -109,7 +109,9 @@ pub struct EpochTrace {
     pub edges_seen: u64,
     /// Configured shard count.
     pub shards: u32,
-    /// Bitmask of contributing shards (bit `min(shard, 63)`).
+    /// Bitmask of contributing shards, bit `min(shard, 63)` (the serve
+    /// layer's mask). From 65 shards on, shards 63 and up share bit 63,
+    /// which any one of them sets (ROADMAP item C).
     pub contributing: u64,
     /// Why publication happened.
     pub cause: TraceCause,
@@ -176,13 +178,21 @@ impl EpochTrace {
         self.span(stage).map(StageSpan::duration_ns)
     }
 
-    /// True when at least one configured shard did not contribute.
+    /// True when the mask has fewer bits set than there are configured
+    /// shards. Exact up to 64 shards. The mask holds at most 64 bits, so
+    /// from 65 shards on this reads `true` for every epoch, full ones
+    /// included. The serve layer's `EstimateEpoch::degraded` compares
+    /// against `min(S, 64)` instead and reads `false` for a full one
+    /// (ROADMAP item C).
     pub fn degraded(&self) -> bool {
         self.contributing.count_ones() < self.shards
     }
 
-    /// Shard ids that did **not** contribute to this epoch (by bitmask;
-    /// shards above 63 share bit 63, mirroring the serve layer's mask).
+    /// Shard ids that did **not** contribute to this epoch, read from the
+    /// mask: shard `s` is listed when bit `min(s, 63)` is clear. From 65
+    /// shards on, shards 63 and up share bit 63, so a silent shard ≥ 63 is
+    /// listed only when all of them are silent: the list can be empty
+    /// while [`degraded`](Self::degraded) reads `true` (ROADMAP item C).
     pub fn missing_shards(&self) -> Vec<u32> {
         (0..self.shards)
             .filter(|&s| self.contributing & (1u64 << s.min(63)) == 0)
