@@ -201,11 +201,19 @@ mod tests {
     }
 
     #[test]
-    fn self_loops_are_dropped_silently() {
+    fn self_loops_skipped_or_rejected() {
         let input = "1 1\n1 2\n";
         let edges = read_edge_list(input.as_bytes()).unwrap();
         assert_eq!(edges.len(), 1);
 
+        // Self-loops are always skipped, never rejected: a list of nothing
+        // else reads as an empty graph, not an error.
+        let edges = read_edge_list("3 3\n4 4\n".as_bytes()).unwrap();
+        assert!(edges.is_empty());
+    }
+
+    #[test]
+    fn self_loops_are_dropped_silently() {
         let input = "5 5\n5 6\n";
         let edges: Vec<Edge> = EdgeFileStream::new(input.as_bytes())
             .map(|r| r.unwrap())
